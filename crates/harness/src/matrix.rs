@@ -957,6 +957,7 @@ where
     let panics: Mutex<Vec<(usize, Box<dyn std::any::Any + Send>)>> = Mutex::new(Vec::new());
     let cursor = AtomicUsize::new(0);
     let finished = AtomicUsize::new(0);
+    let caller = std::thread::current();
     std::thread::scope(|s| {
         for _ in 0..jobs.min(n) {
             s.spawn(|| loop {
@@ -975,11 +976,15 @@ where
                         .push((i, payload)),
                 }
                 finished.fetch_add(1, Ordering::Release);
+                caller.unpark();
             });
         }
         // the caller's thread narrates progress while workers drain; every
         // index finishes (success or recorded panic), so this always
-        // converges to n
+        // converges to n. Each finish unparks the caller (the token makes
+        // an unpark that lands before the park a no-wait), so the call
+        // returns when the last item does, not at the next poll; the
+        // timeout only bounds a wake-up lost to a foreign `unpark`
         let mut last = 0usize;
         while last < n {
             let done = finished.load(Ordering::Acquire);
@@ -987,7 +992,7 @@ where
                 last = done;
                 tick(done);
             } else {
-                std::thread::sleep(std::time::Duration::from_millis(25));
+                std::thread::park_timeout(std::time::Duration::from_millis(25));
             }
         }
     });
@@ -1145,6 +1150,41 @@ mod tests {
         .unwrap_err();
         assert_eq!(indigo_cancel::payload_text(err.as_ref()), "boom at 3");
         assert_eq!(done.load(Ordering::Relaxed), 15, "all other items ran");
+    }
+
+    #[test]
+    fn run_indexed_parallel_returns_when_the_last_item_does() {
+        // 8 items of ~1 ms on 2 jobs is ~4 ms of work; the caller used to
+        // poll every 25 ms, so every call cost at least one full poll
+        let item = || {
+            let t = Instant::now();
+            while t.elapsed() < Duration::from_millis(1) {
+                std::hint::spin_loop();
+            }
+        };
+        let best = (0..5)
+            .map(|_| {
+                let mut ticks = Vec::new();
+                let t = Instant::now();
+                let out = run_indexed_parallel(
+                    8,
+                    2,
+                    |i| {
+                        item();
+                        i * i
+                    },
+                    |done| ticks.push(done),
+                );
+                let took = t.elapsed();
+                assert_eq!(out, [0, 1, 4, 9, 16, 25, 36, 49]);
+                assert_eq!(ticks.last(), Some(&8));
+                assert!(ticks.windows(2).all(|w| w[0] < w[1]), "{ticks:?}");
+                took
+            })
+            .min()
+            .unwrap();
+        // best of five: a loaded CI box may preempt one run, not all
+        assert!(best < Duration::from_millis(15), "took {best:?}");
     }
 
     fn tc_plan() -> RunPlan {

@@ -432,16 +432,16 @@ impl Group {
         }
     }
 
-    fn variant_names(&self) -> Vec<String> {
-        let mut names: Vec<String> = self.variants.iter().map(|v| v.name()).collect();
-        names.sort();
-        names
+    /// Same variant *set*, whatever the order (each list is duplicate-free:
+    /// a query names distinct variants and `absorb` keeps them distinct).
+    fn same_variants(&self, other: &Group) -> bool {
+        self.variants.len() == other.variants.len()
+            && self.variants.iter().all(|v| other.variants.contains(v))
     }
 
     fn absorb(&mut self, sub: Submission) {
         for v in sub.variants {
-            let name = v.name();
-            if !self.variants.iter().any(|x| x.name() == name) {
+            if !self.variants.contains(&v) {
                 self.variants.push(v);
             }
         }
@@ -453,8 +453,9 @@ impl Group {
     }
 }
 
-/// Groups a drained batch into mergeable plans and executes each one.
-fn execute_batch(batch: Vec<Submission>, cache: &ResultCache, stats: &Stats, jobs: usize) {
+/// Groups a drained batch into mergeable plans: merged groups first, then
+/// the fault-injected submissions, each alone.
+fn plan_groups(batch: Vec<Submission>) -> Vec<Group> {
     let mut solo: Vec<Group> = Vec::new();
     let mut groups: Vec<Group> = Vec::new();
     for sub in batch {
@@ -474,9 +475,10 @@ fn execute_batch(batch: Vec<Submission>, cache: &ResultCache, stats: &Stats, job
     // (still exactly the union of requested cells — no cross-product bloat)
     let mut merged: Vec<Group> = Vec::new();
     for g in groups {
-        match merged.iter_mut().find(|m| {
-            m.scale == g.scale && m.reps == g.reps && m.variant_names() == g.variant_names()
-        }) {
+        match merged
+            .iter_mut()
+            .find(|m| m.scale == g.scale && m.reps == g.reps && m.same_variants(&g))
+        {
             Some(m) => {
                 for graph in g.graphs {
                     if !m.graphs.contains(&graph) {
@@ -489,7 +491,13 @@ fn execute_batch(batch: Vec<Submission>, cache: &ResultCache, stats: &Stats, job
             None => merged.push(g),
         }
     }
-    for g in merged.into_iter().chain(solo) {
+    merged.extend(solo);
+    merged
+}
+
+/// Executes a drained batch, one merged plan at a time.
+fn execute_batch(batch: Vec<Submission>, cache: &ResultCache, stats: &Stats, jobs: usize) {
+    for g in plan_groups(batch) {
         let coalesced = g.claims.len();
         let plan = RunPlan {
             variants: g.variants,
@@ -670,44 +678,14 @@ mod tests {
             fault: None,
             claims: claims(&reg, &[fp]).0,
         };
-        // same graph → variant union; same variant set → graph union
+        // same graph → variant union; same variant set (in any order) →
+        // graph union
         let batch = vec![
-            sub(SuiteGraph::Grid2d, vec![v1.clone()], 1),
-            sub(SuiteGraph::Grid2d, vec![v2.clone()], 2),
-            sub(SuiteGraph::Rmat, vec![v1.clone(), v2.clone()], 3),
+            sub(SuiteGraph::Grid2d, vec![v1], 1),
+            sub(SuiteGraph::Grid2d, vec![v2], 2),
+            sub(SuiteGraph::Rmat, vec![v2, v1], 3),
         ];
-        let mut solo = Vec::new();
-        let mut groups: Vec<Group> = Vec::new();
-        for s in batch {
-            if s.fault.is_some() {
-                solo.push(Group::of(s));
-            } else {
-                match groups
-                    .iter_mut()
-                    .find(|g| g.scale == s.scale && g.reps == s.reps && g.graphs == [s.graph])
-                {
-                    Some(g) => g.absorb(s),
-                    None => groups.push(Group::of(s)),
-                }
-            }
-        }
-        assert_eq!(groups.len(), 2);
-        let mut merged: Vec<Group> = Vec::new();
-        for g in groups {
-            match merged.iter_mut().find(|m| {
-                m.scale == g.scale && m.reps == g.reps && m.variant_names() == g.variant_names()
-            }) {
-                Some(m) => {
-                    for graph in g.graphs {
-                        if !m.graphs.contains(&graph) {
-                            m.graphs.push(graph);
-                        }
-                    }
-                    m.claims.extend(g.claims);
-                }
-                None => merged.push(g),
-            }
-        }
+        let merged = plan_groups(batch);
         assert_eq!(merged.len(), 1, "identical variant sets merge graphs");
         assert_eq!(merged[0].graphs, [SuiteGraph::Grid2d, SuiteGraph::Rmat]);
         assert_eq!(merged[0].variants.len(), 2);

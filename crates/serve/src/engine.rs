@@ -19,7 +19,7 @@
 
 use crate::batch::{Batcher, CellClaim, Flight, FlightResult, Flights, Submission};
 use crate::breaker::{Admit, Breaker, BreakerConfig, Transition};
-use crate::cache::ResultCache;
+use crate::cache::{CachedCell, ResultCache};
 use crate::config::{parse_scale, scale_label, ServerConfig};
 use crate::flightrec::{Outcome, RequestScope};
 use crate::http::{Request, Response};
@@ -137,6 +137,13 @@ pub fn parse_graph(label: &str) -> Result<SuiteGraph, String> {
         .ok_or_else(|| format!("unknown graph `{label}` (2d-grid|copapers|rmat|soc-net|road)"))
 }
 
+/// Decodes a variant name for one `(algo, model)` group. The name carries
+/// its own group, so one that is valid for a *different* group than the
+/// request's is unknown here, exactly as when the group's list was searched.
+pub fn resolve_variant(name: &str, algo: Algorithm, model: Model) -> Option<StyleConfig> {
+    StyleConfig::from_name(name).filter(|c| c.algorithm == algo && c.model == model)
+}
+
 /// Parses `/run` (`sweep = false`) or `/sweep` (`sweep = true`) params.
 pub fn parse_query(req: &Request, cfg: &ServerConfig, sweep: bool) -> Result<Query, String> {
     let algo_label = req.param("algo").ok_or("missing `algo` parameter")?;
@@ -191,7 +198,6 @@ pub fn parse_query(req: &Request, cfg: &ServerConfig, sweep: bool) -> Result<Que
             Duration::from_millis(ms).min(cfg.max_deadline)
         }
     };
-    let all = enumerate::variants(algo, model);
     let variants = if sweep {
         let limit = match req.param("limit") {
             None => 0,
@@ -199,7 +205,8 @@ pub fn parse_query(req: &Request, cfg: &ServerConfig, sweep: bool) -> Result<Que
                 .parse::<usize>()
                 .map_err(|_| format!("`limit` is not a number: `{l}`"))?,
         };
-        let mut v = all;
+        // the one query that wants every style; /run decodes its one name
+        let mut v = enumerate::variants(algo, model);
         if limit > 0 {
             v.truncate(limit);
         }
@@ -213,7 +220,7 @@ pub fn parse_query(req: &Request, cfg: &ServerConfig, sweep: bool) -> Result<Que
         if name == "baseline" {
             vec![StyleConfig::baseline(algo, model)]
         } else {
-            vec![all.into_iter().find(|c| c.name() == name).ok_or_else(|| {
+            vec![resolve_variant(name, algo, model).ok_or_else(|| {
                 format!(
                     "unknown variant `{name}` for {algo_label}/{}; \
                                         use `baseline` or a name from /sweep",
@@ -260,6 +267,7 @@ pub fn parse_query(req: &Request, cfg: &ServerConfig, sweep: bool) -> Result<Que
 /// One expected cell of a query.
 struct CellKey {
     fp: u64,
+    cfg: StyleConfig,
     variant: String,
     target: String,
 }
@@ -273,6 +281,7 @@ fn cells_for(q: &Query) -> Vec<CellKey> {
             let target = t.label();
             cells.push(CellKey {
                 fp: fingerprint(q.scale, q.reps, true, &name, q.graph.label(), &target),
+                cfg: *v,
                 variant: name.clone(),
                 target,
             });
@@ -317,12 +326,15 @@ pub fn execute(
     scope: &mut RequestScope,
 ) -> Response {
     let cells = cells_for(q);
+    // each cell's cached entry, probed once: a slot that is filled is never
+    // looked up again, and the body is assembled from these same entries
+    let mut found: Vec<Option<CachedCell>> = vec![None; cells.len()];
 
     // ---- cache: a fully answered query never touches the breaker
-    if cells.iter().all(|c| ctx.cache.get(c.fp).is_some()) {
+    if probe_missing(ctx.cache, &cells, &mut found) {
         ctx.stats.bump(ServeCounter::CacheHits);
         scope.outcome = Outcome::Cached;
-        return Response::json(200, result_body(ctx, q, &cells, true, false, 0));
+        return Response::json(200, result_body(q, &cells, &found, true, false, 0));
     }
 
     // ---- breaker: open shard → degraded answer, never an error page
@@ -356,13 +368,14 @@ pub fn execute(
             return Response::json(504, body);
         }
 
-        let missing: Vec<&CellKey> = cells
-            .iter()
-            .filter(|c| ctx.cache.get(c.fp).is_none())
-            .collect();
-        if missing.is_empty() {
+        if probe_missing(ctx.cache, &cells, &mut found) {
             break; // every cell is cached — assemble the answer
         }
+        let missing: Vec<&CellKey> = cells
+            .iter()
+            .zip(&found)
+            .filter_map(|(c, hit)| hit.is_none().then_some(c))
+            .collect();
 
         let attempts_left = ctx.cfg.retry.max_attempts.saturating_sub(attempt);
         let (claimed, joined) = if attempts_left > 0 {
@@ -432,12 +445,11 @@ pub fn execute(
             .variants
             .iter()
             .filter(|v| {
-                let name = v.name();
                 claimed
                     .iter()
-                    .any(|g| cells.iter().any(|c| c.fp == g.fp() && c.variant == name))
+                    .any(|g| cells.iter().any(|c| c.fp == g.fp() && c.cfg == **v))
             })
-            .cloned()
+            .copied()
             .collect();
         let my_flights: Vec<Arc<Flight>> = claimed.iter().map(|g| g.flight()).collect();
         let sub = Submission {
@@ -564,8 +576,19 @@ pub fn execute(
     };
     Response::json(
         200,
-        result_body(ctx, q, &cells, attempt == 0, false, attempt),
+        result_body(q, &cells, &found, attempt == 0, false, attempt),
     )
+}
+
+/// Looks up the cells `found` does not hold yet (`found[i]` answers
+/// `cells[i]`); true once every cell is found.
+fn probe_missing(cache: &ResultCache, cells: &[CellKey], found: &mut [Option<CachedCell>]) -> bool {
+    for (c, hit) in cells.iter().zip(found.iter_mut()) {
+        if hit.is_none() {
+            *hit = cache.get(c.fp);
+        }
+    }
+    found.iter().all(Option::is_some)
 }
 
 /// Waits out a pure-waiter round. Returns the final response when a joined
@@ -622,19 +645,19 @@ fn report_breaker(ctx: &EngineCtx<'_>, shard: &Shard, ok: bool, probe: bool) {
     }
 }
 
-/// Success body: every cell from the cache, exact bits included.
+/// Success body: every cell from its cache entry, exact bits included.
 fn result_body(
-    ctx: &EngineCtx<'_>,
     q: &Query,
     cells: &[CellKey],
+    found: &[Option<CachedCell>],
     cached: bool,
     degraded: bool,
     attempts: u32,
 ) -> String {
     let mut cell_objs = Vec::with_capacity(cells.len());
     let mut best: Option<(f64, &CellKey)> = None;
-    for c in cells {
-        let Some(entry) = ctx.cache.get(c.fp) else {
+    for (c, entry) in cells.iter().zip(found) {
+        let Some(entry) = entry else {
             continue;
         };
         let geps = entry.geps();
@@ -864,6 +887,174 @@ mod tests {
             let err = parse_query(&req(target), &cfg(), false).unwrap_err();
             assert!(err.contains(want), "{target}: {err}");
         }
+    }
+
+    /// One `(algo, model)` group with every variant's rendered name.
+    type NamedGroup = (Algorithm, Model, Vec<(String, StyleConfig)>);
+
+    /// The pre-PR-12 resolution, kept here as the oracle: enumerate the
+    /// group, render every name, scan.
+    fn groups() -> Vec<NamedGroup> {
+        let mut out = Vec::new();
+        for model in Model::ALL {
+            for algo in Algorithm::ALL {
+                let named = enumerate::variants(algo, model)
+                    .into_iter()
+                    .map(|c| (c.name(), c))
+                    .collect();
+                out.push((algo, model, named));
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn decoding_a_variant_name_equals_searching_the_enumerated_group() {
+        let groups = groups();
+        let names: Vec<&String> = groups
+            .iter()
+            .flat_map(|(_, _, named)| named.iter().map(|(n, _)| n))
+            .collect();
+        assert_eq!(names.len(), 1098);
+        let (mut own, mut foreign) = (0usize, 0usize);
+        for (algo, model, named) in &groups {
+            for name in &names {
+                let old = named.iter().find(|(n, _)| n == *name).map(|(_, c)| *c);
+                assert_eq!(resolve_variant(name, *algo, *model), old, "{name}");
+                let target = format!(
+                    "/run?algo={}&model={}&graph=rmat&variant={name}",
+                    algo.label(),
+                    model.label()
+                );
+                match (parse_query(&req(&target), &cfg(), false), old) {
+                    (Ok(q), Some(c)) => {
+                        assert_eq!(q.variants, [c], "{target}");
+                        own += 1;
+                    }
+                    // a name from another group is still a 400, same text
+                    (Err(e), None) => {
+                        assert_eq!(
+                            e,
+                            format!(
+                                "unknown variant `{name}` for {}/{}; use `baseline` \
+                                 or a name from /sweep",
+                                algo.label(),
+                                model.label()
+                            )
+                        );
+                        foreign += 1;
+                    }
+                    (got, want) => panic!("{target}: {got:?} vs {want:?}"),
+                }
+            }
+        }
+        assert_eq!((own, foreign), (1098, 17 * 1098));
+    }
+
+    /// The pre-PR-12 success body, kept here as the oracle: one
+    /// `cache.get` per cell at assembly time.
+    fn old_result_body(cache: &ResultCache, q: &Query, cells: &[CellKey]) -> String {
+        let mut cell_objs = Vec::new();
+        let mut best: Option<(f64, &CellKey)> = None;
+        for c in cells {
+            let entry = cache.get(c.fp).unwrap();
+            let geps = entry.geps();
+            if best.as_ref().is_none_or(|(b, _)| geps > *b) {
+                best = Some((geps, c));
+            }
+            cell_objs.push(format!(
+                "{{\"fp\":\"{:016x}\",\"variant\":{},\"target\":{},\"geps\":{},\"geps_bits\":\"{:016x}\",\"iterations\":{}}}",
+                c.fp,
+                json::str_lit(&c.variant),
+                json::str_lit(&c.target),
+                json::num(geps),
+                entry.geps_bits,
+                entry.iterations
+            ));
+        }
+        let mut body = format!(
+            "{{\"status\":\"ok\",\"cached\":true,\"degraded\":false,\"attempts\":0,\
+             \"algo\":{},\"model\":{},\"graph\":{},\"scale\":{},\"cells\":[{}]",
+            json::str_lit(q.algo.label()),
+            json::str_lit(q.model.label()),
+            json::str_lit(q.graph.label()),
+            json::str_lit(scale_label(q.scale)),
+            cell_objs.join(",")
+        );
+        if q.sweep {
+            let (geps, c) = best.unwrap();
+            body.push_str(&format!(
+                ",\"summary\":{{\"cells\":{},\"best_geps\":{},\"best_variant\":{},\"best_target\":{}}}",
+                cell_objs.len(),
+                json::num(geps),
+                json::str_lit(&c.variant),
+                json::str_lit(&c.target)
+            ));
+        }
+        body.push('}');
+        body
+    }
+
+    #[test]
+    fn a_cache_hit_answers_with_the_body_the_old_path_assembled() {
+        use indigo_harness::{CellOutcome, CellRecord, Measurement};
+        let cfg = cfg();
+        let cache = Arc::new(ResultCache::open(None).unwrap());
+        let stats = Arc::new(Stats::new());
+        let flights = Arc::new(Flights::new());
+        let ctx = EngineCtx {
+            cfg: &cfg,
+            cache: &cache,
+            stats: &stats,
+            flights: &flights,
+            batcher: None,
+        };
+        let variant = "cuda-sssp-vertex-data-nodup-push-rmw-nondet-persist-block-cudaatomic";
+        let targets = [
+            (
+                format!("/run?algo=sssp&graph=road&variant={variant}"),
+                false,
+            ),
+            (
+                "/run?algo=pr&model=omp&graph=rmat&reps=3".to_string(),
+                false,
+            ),
+            ("/sweep?algo=tc&model=cpp&graph=soc-net".to_string(), true),
+            ("/sweep?algo=bfs&graph=2d-grid&limit=7".to_string(), true),
+        ];
+        for (i, (target, sweep)) in targets.iter().enumerate() {
+            let q = parse_query(&req(target), &cfg, *sweep).unwrap();
+            let cells = cells_for(&q);
+            assert!(cells.len() >= 2, "{target}");
+            for (j, c) in cells.iter().enumerate() {
+                // distinct bits per cell; the best cell sits mid-list
+                let geps = 1.0 + ((j * 7 + i) % cells.len()) as f64 / 3.0;
+                let graph = q.graph.label();
+                cache
+                    .insert(&CellRecord {
+                        fingerprint: c.fp,
+                        variant: c.variant.clone(),
+                        graph,
+                        target: c.target.clone(),
+                        outcome: CellOutcome::Ok(Measurement {
+                            cfg: c.cfg,
+                            graph,
+                            target: c.target.clone(),
+                            geps,
+                            iterations: 10 + j,
+                        }),
+                        resumed: false,
+                    })
+                    .unwrap();
+            }
+            let shard = Shard::new(q.graph, cfg.breaker);
+            let mut scope = RequestScope::new(1 + i as u64, None, Instant::now());
+            let resp = execute(&ctx, &shard, &q, Instant::now() + q.deadline, &mut scope);
+            assert_eq!(resp.status, 200, "{target}");
+            assert_eq!(scope.outcome, Outcome::Cached);
+            assert_eq!(resp.body, old_result_body(&cache, &q, &cells), "{target}");
+        }
+        assert_eq!(stats.snapshot().cache_hits, targets.len() as u64);
     }
 
     #[test]

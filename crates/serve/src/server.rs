@@ -29,7 +29,7 @@ use crate::json;
 use crate::stats::{ServeCounter, Stats};
 use indigo_graph::gen::{Scale, SuiteGraph, SUITE_GRAPHS};
 use indigo_graph::stats::FEATURE_NAMES;
-use indigo_styles::{enumerate, Algorithm, Model, StyleConfig};
+use indigo_styles::{Algorithm, Model, StyleConfig};
 use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -792,10 +792,36 @@ fn finalize(mut resp: Response, path: &str, scope: &mut RequestScope) -> Respons
     resp.with_request_id(scope.echo.clone())
 }
 
-/// Folds a finished request into the stage histograms and the flight
-/// recorder; any 5xx dumps the ring to `cfg.flightrec_dir` (best-effort,
-/// budget-capped — see [`FlightRecorder::dump`]).
-fn observe_done(inner: &Inner, scope: &RequestScope, target: &str, status: u16, write_us: u64) {
+/// Writes a routed response and folds the request into the stage
+/// histograms and the flight recorder. Returns whether the write succeeded.
+///
+/// A 5xx is recorded, and the ring dumped to `cfg.flightrec_dir`
+/// (best-effort, budget-capped — see [`FlightRecorder::dump`]), *before*
+/// the write: a client that has read its 5xx finds the record and the dump
+/// already there. Such a record carries `write_us: 0`; the write-time
+/// histogram still sees every response.
+fn send(
+    inner: &Inner,
+    stream: &mut TcpStream,
+    resp: &Response,
+    scope: &RequestScope,
+    target: &str,
+    arrived: Instant,
+) -> bool {
+    let failing = resp.status >= 500;
+    if failing {
+        inner
+            .recorder
+            .push(ReqRecord::from_scope(scope, target, resp.status, 0));
+        if let Some(dir) = &inner.cfg.flightrec_dir {
+            let _ = inner.recorder.dump(dir, scope.seq, &scope.echo);
+        }
+    }
+    let write_start = Instant::now();
+    let wrote = resp.write_to(stream).is_ok();
+    let write_us = write_start.elapsed().as_micros().min(u64::MAX as u128) as u64;
+    let micros = arrived.elapsed().as_micros().min(u64::MAX as u128) as u64;
+    inner.stats.record_latency(micros);
     indigo_obs::Hist::ServeQueueWaitMicros.record(scope.queue_us);
     indigo_obs::Hist::ServeExecuteMicros.record(scope.execute_us);
     indigo_obs::Hist::ServeWriteMicros.record(write_us);
@@ -805,17 +831,15 @@ fn observe_done(inner: &Inner, scope: &RequestScope, target: &str, status: u16, 
         indigo_obs::emit(
             &indigo_obs::TraceEvent::span("request", target, start, total)
                 .with_arg("rid", scope.echo.clone())
-                .with_arg("status", status.to_string()),
+                .with_arg("status", resp.status.to_string()),
         );
     }
-    inner
-        .recorder
-        .push(ReqRecord::from_scope(scope, target, status, write_us));
-    if status >= 500 {
-        if let Some(dir) = &inner.cfg.flightrec_dir {
-            let _ = inner.recorder.dump(dir, scope.seq, &scope.echo);
-        }
+    if !failing {
+        inner
+            .recorder
+            .push(ReqRecord::from_scope(scope, target, resp.status, write_us));
     }
+    wrote
 }
 
 /// Serves one reactor-parsed request, then parks the connection back with
@@ -857,12 +881,7 @@ fn handle_ready(
         }
     };
     let resp = finish_response(inner, resp, req_close);
-    let write_start = Instant::now();
-    let wrote = resp.write_to(&mut stream).is_ok();
-    let write_us = write_start.elapsed().as_micros().min(u64::MAX as u128) as u64;
-    let micros = arrived.elapsed().as_micros().min(u64::MAX as u128) as u64;
-    inner.stats.record_latency(micros);
-    observe_done(inner, &scope, &target, resp.status, write_us);
+    let wrote = send(inner, &mut stream, &resp, &scope, &target, arrived);
     let keep = wrote && !resp.close && !inner.shutdown.load(Ordering::SeqCst);
     if keep {
         #[cfg(target_os = "linux")]
@@ -898,12 +917,8 @@ fn handle_raw(inner: &Inner, mut stream: TcpStream, arrived: Instant) {
                 let routed = route(inner, &req, arrived, &mut scope);
                 let resp =
                     finish_response(inner, finalize(routed, &req.path, &mut scope), req.close);
-                let write_start = Instant::now();
-                let wrote = resp.write_to(&mut stream).is_ok();
-                let write_us = write_start.elapsed().as_micros().min(u64::MAX as u128) as u64;
-                let micros = arrived.elapsed().as_micros().min(u64::MAX as u128) as u64;
-                inner.stats.record_latency(micros);
-                observe_done(inner, &scope, &req_target(&req), resp.status, write_us);
+                let target = req_target(&req);
+                let wrote = send(inner, &mut stream, &resp, &scope, &target, arrived);
                 served += 1;
                 if !wrote || resp.close || inner.shutdown.load(Ordering::SeqCst) {
                     break;
@@ -1248,12 +1263,11 @@ fn run(
             q.algo,
             q.model,
         );
-        let all = enumerate::variants(q.algo, q.model);
         let chosen = advised
             .advice
             .ranked
             .iter()
-            .find_map(|name| all.iter().find(|c| &c.name() == name).cloned())
+            .find_map(|name| engine::resolve_variant(name, q.algo, q.model))
             .unwrap_or_else(|| StyleConfig::baseline(q.algo, q.model));
         q.variants = vec![chosen];
         inner.stats.bump(ServeCounter::Advised);

@@ -159,6 +159,18 @@ stage "serving-path perf smoke (loadgen: keep-alive + batching speedup)"
 cargo build -q --release -p indigo-bench --bin serve_perf
 target/release/serve_perf --check results/BENCH_serve_baseline.json
 
+stage "benchmark smoke (self-tests + five quick workloads: correctness only)"
+# benchmark/ (BENCHMARK.json) is a package outside the workspace, so
+# `cargo test --workspace` never builds it. Here it must build, pass its
+# self-tests, and run every workload for a tenth of the time with every
+# op's output checked (exit 2 on a failed op). No metric is compared:
+# measuring needs a quiet machine and the parent commit beside the change.
+cargo test -q --offline --manifest-path benchmark/Cargo.toml
+benchmark/run.sh --quick >"$smoke_dir/benchmark.txt" ||
+    { echo "benchmark smoke failed:"; tail -n 20 "$smoke_dir/benchmark.txt"; exit 1; }
+tail -n 1 "$smoke_dir/benchmark.txt" | grep -q '"workloads":{"sweep_sim":{"correct":true' ||
+    { echo "benchmark smoke printed no ledger row"; exit 1; }
+
 stage "telemetry (feature-on tests, trace validation, zero-cost guard)"
 # the full suite again with recording compiled in: obs live tests, the
 # trace integration test, and the alloc-regression pin all re-run hot

@@ -323,6 +323,27 @@ fn batched_answers_are_bit_identical_to_unbatched() {
         );
     }
 
+    // hit leg: every target again, now answered from the cache. Apart from
+    // its rid/served_by/timing tail a hit body is a pure function of the
+    // query and the cached bits, so the two servers answer byte-for-byte
+    // alike, with exactly the bits the computing requests were served
+    let head = |body: &str| body[..body.find(",\"rid\":").expect("rid fragment")].to_string();
+    for t in targets {
+        let hit = get(bat.addr(), t);
+        assert_eq!(hit.status, 200, "{t}: {}", hit.body);
+        assert!(hit.body.contains("\"cached\":true"), "{t}: {}", hit.body);
+        assert_eq!(head(&hit.body), head(&get(un.addr(), t).body), "{t}");
+        let cells = cells_of(&hit.body);
+        assert!(!cells.is_empty(), "{t}: {}", hit.body);
+        for (fp, bits) in cells {
+            assert_eq!(
+                Some(&bits),
+                batched.get(&fp),
+                "{t}: fp {fp} changed on a hit"
+            );
+        }
+    }
+
     // fault leg: a stalled claimer holds the flight while a clean
     // short-deadline waiter coalesces onto it and expires mid-batch —
     // the waiter's 504 must not cancel the shared run, and a later clean
