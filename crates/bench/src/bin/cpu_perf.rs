@@ -28,6 +28,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use indigo_bench::{field, name_of};
 use indigo_core::{GraphInput, SOURCE};
 use indigo_graph::gen::{suite_graph, Scale, SuiteGraph};
 use indigo_obs::{counters_snapshot, Counter};
@@ -168,24 +169,6 @@ fn emit(records: &[Record]) -> String {
     }
     s.push_str("  ]\n}\n");
     s
-}
-
-/// Pulls `"field": <number>` off a JSON line (the workspace is
-/// dependency-free, so no serde).
-fn field(line: &str, name: &str) -> Option<f64> {
-    let tag = format!("\"{name}\": ");
-    let at = line.find(&tag)? + tag.len();
-    let rest = &line[at..];
-    let end = rest
-        .find(|ch: char| !(ch.is_ascii_digit() || ch == '.' || ch == '-'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-fn name_of(line: &str) -> Option<&str> {
-    let at = line.find("\"name\": \"")? + 9;
-    let rest = &line[at..];
-    Some(&rest[..rest.find('"')?])
 }
 
 /// Compares deterministic fields against the baseline file. Returns the

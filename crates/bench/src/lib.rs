@@ -85,9 +85,42 @@ pub fn bench_gpu_variant(
     g.finish();
 }
 
+/// Pulls `"field": <number>` off a JSON line. Good enough for the
+/// line-per-workload records the `*_perf` probes write and compare against
+/// their committed baselines (the workspace is dependency-free, so no
+/// serde).
+pub fn field(line: &str, name: &str) -> Option<f64> {
+    let tag = format!("\"{name}\": ");
+    let at = line.find(&tag)? + tag.len();
+    let rest = &line[at..];
+    let end = rest
+        .find(|ch: char| !(ch.is_ascii_digit() || ch == '.' || ch == '-'))
+        .unwrap_or(rest.len());
+    rest[..end].parse().ok()
+}
+
+/// The `"name": "<workload>"` of a probe record line.
+pub fn name_of(line: &str) -> Option<&str> {
+    let at = line.find("\"name\": \"")? + 9;
+    let rest = &line[at..];
+    Some(&rest[..rest.find('"')?])
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn probe_record_lines_scrape_by_name_and_field() {
+        let line =
+            r#"    {"name": "bfs:social", "pushes": 136, "steady_allocs": 0, "host_ms": 0.048},"#;
+        assert_eq!(name_of(line), Some("bfs:social"));
+        assert_eq!(field(line, "pushes"), Some(136.0));
+        assert_eq!(field(line, "steady_allocs"), Some(0.0));
+        assert_eq!(field(line, "host_ms"), Some(0.048));
+        assert_eq!(field(line, "missing"), None);
+        assert_eq!(name_of("  ],"), None);
+    }
 
     #[test]
     fn scale_default_is_tiny() {

@@ -1,5 +1,5 @@
 //! A minimal blocking HTTP/1.1 client for tests, the chaos harness, and
-//! the load generator. [`Client`] keeps its connection alive across
+//! the benchmark. [`Client`] keeps its connection alive across
 //! requests (PR 8); the free [`get`] stays as a one-shot convenience.
 
 use std::io::{Read, Write};

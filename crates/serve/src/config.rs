@@ -36,17 +36,11 @@ pub struct ServerConfig {
     /// only — a production server must never let clients inject faults).
     pub allow_fault_param: bool,
     /// Largest number of submissions the batch former merges into one
-    /// `run_cells` invocation (`0` disables batching: every claimer runs
-    /// its own plan inline).
+    /// `run_cells` invocation (clamped to ≥ 1: one submission per plan).
     pub batch: usize,
     /// Longest the batch former holds an open batch waiting for more
     /// submissions; the window closes early when the queue is empty.
     pub batch_window: Duration,
-    /// Keep connections open across requests (HTTP/1.1 keep-alive).
-    pub keep_alive: bool,
-    /// Use the epoll readiness reactor on Linux (falls back to the
-    /// blocking accept path when unsupported or disabled).
-    pub reactor: bool,
     /// How long a connection may dribble in its request head before the
     /// reactor reaps it (slow-loris bound).
     pub header_timeout: Duration,
@@ -76,8 +70,6 @@ impl Default for ServerConfig {
             allow_fault_param: false,
             batch: 8,
             batch_window: Duration::from_millis(1),
-            keep_alive: true,
-            reactor: true,
             header_timeout: Duration::from_secs(10),
             flightrec_dir: None,
             slo_micros: 250_000,

@@ -300,8 +300,8 @@ pub struct EngineCtx<'a> {
     pub stats: &'a Arc<Stats>,
     /// Single-flight registry keyed by cell fingerprint.
     pub flights: &'a Arc<Flights>,
-    /// Batch former, when batching is on (`cfg.batch > 0`).
-    pub batcher: Option<&'a Batcher>,
+    /// Batch former.
+    pub batcher: &'a Batcher,
 }
 
 /// Executes a parsed query against its shard. `deadline_at` is absolute
@@ -310,10 +310,11 @@ pub struct EngineCtx<'a> {
 /// Since PR 8 execution goes through the single-flight registry: each
 /// round, the request *claims* the missing cells nobody else is computing
 /// and *joins* the flights already in the air. A round with claims runs
-/// them (through the batch former when batching is on, inline otherwise);
-/// a round with only joins just waits. Either way the request then settles
-/// its own verdict — its 504 clock, retry budget, and breaker report are
-/// never delegated to whoever happens to execute the cells.
+/// them (through the batch former; inline when the submission carries an
+/// injected fault or the former is full or closed); a round with only
+/// joins just waits. Either way the request then settles its own verdict
+/// — its 504 clock, retry budget, and breaker report are never delegated
+/// to whoever happens to execute the cells.
 ///
 /// `scope` is the request's observability scope (DESIGN.md §7.10): the
 /// engine fills in attempts, batch-wait attribution, the serving flight's
@@ -463,9 +464,9 @@ pub fn execute(
         };
         // faulted submissions run inline so an injected stall wedges this
         // request's attempt, never the shared batch former
-        let inline = match (ctx.batcher, fault) {
-            (Some(b), None) => b.submit(sub).err(),
-            (_, _) => Some(sub),
+        let inline = match fault {
+            None => ctx.batcher.submit(sub).err(),
+            Some(_) => Some(sub),
         };
         if let Some(sub) = inline {
             let plan = RunPlan {
@@ -1002,12 +1003,23 @@ mod tests {
         let cache = Arc::new(ResultCache::open(None).unwrap());
         let stats = Arc::new(Stats::new());
         let flights = Arc::new(Flights::new());
+        // every query below is a full cache hit, so the former stays idle
+        let batcher = Batcher::spawn(
+            crate::batch::BatchConfig {
+                max_batch: cfg.batch,
+                window: cfg.batch_window,
+            },
+            Arc::clone(&cache),
+            Arc::clone(&stats),
+            cfg.jobs,
+        )
+        .unwrap();
         let ctx = EngineCtx {
             cfg: &cfg,
             cache: &cache,
             stats: &stats,
             flights: &flights,
-            batcher: None,
+            batcher: &batcher,
         };
         let variant = "cuda-sssp-vertex-data-nodup-push-rmw-nondet-persist-block-cudaatomic";
         let targets = [

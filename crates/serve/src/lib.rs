@@ -18,10 +18,10 @@
 //! and the chaos harness ([`chaos::run_chaos`]) gates it all in CI.
 //!
 //! PR 8 adds the batched, event-driven serving path (DESIGN.md §7.9):
-//! single-flight coalescing + continuous batching ([`batch`]), an epoll
-//! readiness reactor with HTTP/1.1 keep-alive ([`reactor`], [`http`]), and
-//! a coordinated-omission-safe open-loop load generator ([`loadgen`])
-//! behind the `serve_perf` CI gate.
+//! single-flight coalescing + continuous batching ([`batch`]) and an epoll
+//! readiness reactor with HTTP/1.1 keep-alive ([`reactor`], [`http`]). It
+//! is the only transport, so serving is Linux-only; its performance is
+//! measured by the repo's benchmark (`benchmark/README.md`).
 //!
 //! PR 9 adds request-scoped observability (DESIGN.md §7.10): every request
 //! carries a deterministic ID (echoed as `X-Request-Id`) and a per-stage
@@ -44,7 +44,6 @@ pub mod engine;
 pub mod flightrec;
 pub mod http;
 mod json;
-pub mod loadgen;
 pub mod metrics;
 pub mod reactor;
 pub mod retry;

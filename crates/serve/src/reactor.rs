@@ -4,8 +4,8 @@
 //! workspace stays dependency-free, so no `libc`/`mio`. Only the three
 //! epoll calls (plus `close`) are bound; everything else the transport
 //! needs (`set_nonblocking`, `set_nodelay`, timeouts) already exists in
-//! std. On non-Linux targets [`Poller::supported`] is `false` and the
-//! server falls back to the blocking accept path.
+//! std. On non-Linux targets [`Poller::new`] is `Unsupported`, and so is
+//! `Server::start`: serving is Linux-only.
 //!
 //! The wrapper is level-triggered: an fd with unread bytes (or unflushed
 //! write space, when write interest is armed) reports ready on every
@@ -104,11 +104,6 @@ pub struct Poller {
 unsafe impl Send for Poller {}
 
 impl Poller {
-    /// Whether readiness polling works on this target.
-    pub fn supported() -> bool {
-        cfg!(target_os = "linux")
-    }
-
     /// A fresh epoll instance.
     #[cfg(target_os = "linux")]
     pub fn new() -> io::Result<Poller> {
@@ -122,8 +117,7 @@ impl Poller {
         })
     }
 
-    /// Readiness polling is Linux-only; other targets use the blocking
-    /// accept path.
+    /// Readiness polling is Linux-only, and with it the server.
     #[cfg(not(target_os = "linux"))]
     pub fn new() -> io::Result<Poller> {
         Err(io::Error::new(

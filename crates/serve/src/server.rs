@@ -1,9 +1,9 @@
 //! The server proper: event-driven acceptor, bounded admission queue,
 //! worker pool, routing, and crash-only shutdown (DESIGN.md §7.8, §7.9).
 //!
-//! Topology since PR 8: on Linux a single **reactor** thread owns the
-//! listener and every connection that is not mid-request — it accepts,
-//! reads request heads with readiness-driven non-blocking I/O
+//! Topology since PR 8: a single **reactor** thread owns the listener and
+//! every connection that is not mid-request — it accepts, reads request
+//! heads with readiness-driven non-blocking I/O
 //! ([`crate::reactor::Poller`]), and pushes *parsed* requests onto the
 //! bounded [`Admission`] queue. Idle keep-alive connections cost an epoll
 //! slot, not a parked thread. When the queue is full the reactor queues the
@@ -11,9 +11,9 @@
 //! socket drains — overload never blocks the acceptor. Workers pop
 //! requests, execute them through the engine (single-flight + batching,
 //! `crate::batch`), write the response with blocking I/O, and hand the
-//! still-alive connection back to the reactor. On non-Linux targets (or
-//! with `reactor: false`) the server falls back to the original blocking
-//! accept path, now with per-connection keep-alive loops.
+//! still-alive connection back to the reactor. This is the only transport,
+//! and it needs epoll: serving is Linux-only ([`Server::start`] is
+//! `Unsupported` elsewhere; the rest of the workspace builds everywhere).
 //!
 //! Every worker turn is wrapped in `catch_unwind`: a panicking request
 //! burns one connection, never a worker, never the process.
@@ -34,10 +34,10 @@ use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 #[cfg(target_os = "linux")]
-use std::sync::{atomic::AtomicUsize, Mutex};
+use std::sync::Mutex;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -45,25 +45,13 @@ use std::time::{Duration, Instant};
 /// that stops reading or writing cannot pin a worker forever.
 const STREAM_TIMEOUT: Duration = Duration::from_secs(10);
 
-/// How long the blocking fallback waits for the *next* request on an idle
-/// keep-alive connection before closing it (the reactor path has no such
-/// limit — idle connections there cost an epoll slot, not a thread).
-const FALLBACK_KEEPALIVE_IDLE: Duration = Duration::from_millis(500);
-
-/// One unit of work for the worker pool.
-enum Job {
-    /// Reactor mode: the head is already read and parsed; `leftover` holds
-    /// pipelined bytes past it.
-    Ready {
-        stream: TcpStream,
-        req: Result<Request, String>,
-        arrived: Instant,
-        leftover: Vec<u8>,
-        reused: bool,
-    },
-    /// Blocking fallback: a raw accepted connection the worker reads
-    /// itself.
-    Raw { stream: TcpStream, arrived: Instant },
+/// One unit of work for the worker pool: a request whose head the reactor
+/// already read and parsed; `leftover` holds pipelined bytes past it.
+struct Job {
+    stream: TcpStream,
+    req: Result<Request, String>,
+    arrived: Instant,
+    leftover: Vec<u8>,
 }
 
 /// A keep-alive connection a worker handed back for more requests.
@@ -79,9 +67,6 @@ struct Parked {
 struct ReactorShared {
     wake_tx: Mutex<std::os::unix::net::UnixStream>,
     parked: Mutex<Vec<Parked>>,
-    /// Connections the reactor is currently watching (the `/metrics`
-    /// `parked_connections` gauge; updated once per reactor turn).
-    watched: AtomicUsize,
 }
 
 #[cfg(target_os = "linux")]
@@ -101,15 +86,18 @@ struct Inner {
     queue: Admission<Job>,
     stats: Arc<Stats>,
     flights: Arc<Flights>,
-    batcher: Option<Batcher>,
+    batcher: Batcher,
     advisors: crate::advise::AdvisorHub,
     shutdown: AtomicBool,
     /// Request sequence counter; `next_seq` starts at 1 so `served_by == 0`
     /// always means "executed its own cells".
     req_seq: AtomicU64,
     recorder: FlightRecorder,
+    /// Connections the reactor is currently watching (the `/metrics`
+    /// `parked_connections` gauge; updated once per reactor turn).
+    watched: AtomicUsize,
     #[cfg(target_os = "linux")]
-    reactor: Option<Arc<ReactorShared>>,
+    reactor: ReactorShared,
 }
 
 /// The next request sequence number (1-based).
@@ -126,11 +114,15 @@ pub struct Server {
 }
 
 impl Server {
-    /// Binds, replays the journal, and spawns the reactor (or blocking
-    /// acceptor) + worker pool.
+    /// Binds, replays the journal, opens the reactor, and spawns it and
+    /// the worker pool. Every transport set-up step (epoll instance, wake
+    /// pair, listener registration) happens here, so its failure is an
+    /// `Err`, never a running server that accepts nothing.
+    #[cfg(target_os = "linux")]
     pub fn start(cfg: ServerConfig) -> std::io::Result<Server> {
         let listener = TcpListener::bind(&cfg.addr)?;
         let addr = listener.local_addr()?;
+        let (poller, wake_tx, wake_rx) = reactor_impl::open(&listener)?;
         let cache = Arc::new(ResultCache::open(cfg.journal.as_deref())?);
         let stats = Arc::new(Stats::new());
         let mut shards = HashMap::new();
@@ -139,38 +131,15 @@ impl Server {
         }
         let queue = Admission::new(cfg.queue);
         let workers_n = cfg.workers.max(1);
-        let batcher = if cfg.batch > 0 {
-            Some(Batcher::spawn(
-                BatchConfig {
-                    max_batch: cfg.batch,
-                    window: cfg.batch_window,
-                },
-                Arc::clone(&cache),
-                Arc::clone(&stats),
-                cfg.jobs,
-            )?)
-        } else {
-            None
-        };
-
-        #[cfg(target_os = "linux")]
-        let (reactor_shared, reactor_parts) = if cfg.reactor {
-            match crate::reactor::Poller::new() {
-                Ok(poller) => {
-                    let (wake_tx, wake_rx) = std::os::unix::net::UnixStream::pair()?;
-                    wake_tx.set_nonblocking(true)?;
-                    let shared = Arc::new(ReactorShared {
-                        wake_tx: Mutex::new(wake_tx),
-                        parked: Mutex::new(Vec::new()),
-                        watched: AtomicUsize::new(0),
-                    });
-                    (Some(Arc::clone(&shared)), Some((poller, wake_rx, shared)))
-                }
-                Err(_) => (None, None),
-            }
-        } else {
-            (None, None)
-        };
+        let batcher = Batcher::spawn(
+            BatchConfig {
+                max_batch: cfg.batch,
+                window: cfg.batch_window,
+            },
+            Arc::clone(&cache),
+            Arc::clone(&stats),
+            cfg.jobs,
+        )?;
 
         let inner = Arc::new(Inner {
             cfg,
@@ -184,33 +153,19 @@ impl Server {
             shutdown: AtomicBool::new(false),
             req_seq: AtomicU64::new(0),
             recorder: FlightRecorder::new(),
-            #[cfg(target_os = "linux")]
-            reactor: reactor_shared,
+            watched: AtomicUsize::new(0),
+            reactor: ReactorShared {
+                wake_tx: Mutex::new(wake_tx),
+                parked: Mutex::new(Vec::new()),
+            },
         });
 
-        #[cfg(target_os = "linux")]
-        let acceptor = match reactor_parts {
-            Some((poller, wake_rx, shared)) => {
-                let inner = Arc::clone(&inner);
-                std::thread::Builder::new()
-                    .name("serve-reactor".into())
-                    .spawn(move || reactor_loop(&inner, &listener, &poller, &wake_rx, &shared))?
-            }
-            None => {
-                let inner = Arc::clone(&inner);
-                std::thread::Builder::new()
-                    .name("serve-accept".into())
-                    .spawn(move || accept_loop(&inner, &listener))?
-            }
-        };
-        #[cfg(not(target_os = "linux"))]
         let acceptor = {
             let inner = Arc::clone(&inner);
             std::thread::Builder::new()
-                .name("serve-accept".into())
-                .spawn(move || accept_loop(&inner, &listener))?
+                .name("serve-reactor".into())
+                .spawn(move || reactor_impl::reactor_loop(&inner, &listener, &poller, &wake_rx))?
         };
-
         let mut workers = Vec::with_capacity(workers_n);
         for i in 0..workers_n {
             let inner = Arc::clone(&inner);
@@ -226,6 +181,14 @@ impl Server {
             acceptor: Some(acceptor),
             workers,
         })
+    }
+
+    /// Serving is Linux-only: elsewhere this is the `Unsupported` error of
+    /// the [`crate::reactor::Poller`] stub.
+    #[cfg(not(target_os = "linux"))]
+    pub fn start(_cfg: ServerConfig) -> std::io::Result<Server> {
+        crate::reactor::Poller::new()?;
+        unreachable!("Poller::new() succeeds only on Linux")
     }
 
     /// The bound address (useful with an ephemeral port).
@@ -248,12 +211,9 @@ impl Server {
         if self.inner.shutdown.swap(true, Ordering::SeqCst) {
             return;
         }
-        // the reactor wakes on its pipe; the fallback acceptor polls the
-        // flag — neither needs a throwaway connection anymore
+        // the reactor blocks in `wait`; its wake pipe gets it to the flag
         #[cfg(target_os = "linux")]
-        if let Some(r) = &self.inner.reactor {
-            r.wake();
-        }
+        self.inner.reactor.wake();
         self.inner.queue.close();
         if let Some(a) = self.acceptor.take() {
             let _ = a.join();
@@ -261,9 +221,7 @@ impl Server {
         for w in self.workers.drain(..) {
             let _ = w.join();
         }
-        if let Some(b) = &self.inner.batcher {
-            b.shutdown();
-        }
+        self.inner.batcher.shutdown();
     }
 }
 
@@ -305,35 +263,38 @@ mod reactor_impl {
         Dispatch(usize),
     }
 
+    /// Creates the poller and the wake pair and registers the listener
+    /// and the wake pipe: every step of reactor set-up that can fail, run
+    /// by [`Server::start`] before any thread exists.
+    pub(super) fn open(
+        listener: &TcpListener,
+    ) -> std::io::Result<(Poller, UnixStream, UnixStream)> {
+        let poller = Poller::new()?;
+        let (wake_tx, wake_rx) = UnixStream::pair()?;
+        wake_tx.set_nonblocking(true)?;
+        wake_rx.set_nonblocking(true)?;
+        listener.set_nonblocking(true)?;
+        poller.add(listener.as_raw_fd(), TOKEN_LISTENER, Interest::READ)?;
+        poller.add(wake_rx.as_raw_fd(), TOKEN_WAKE, Interest::READ)?;
+        Ok((poller, wake_tx, wake_rx))
+    }
+
     pub(super) fn reactor_loop(
         inner: &Inner,
         listener: &TcpListener,
         poller: &Poller,
         wake_rx: &UnixStream,
-        shared: &ReactorShared,
     ) {
-        if listener.set_nonblocking(true).is_err() || wake_rx.set_nonblocking(true).is_err() {
-            return;
-        }
-        if poller
-            .add(listener.as_raw_fd(), TOKEN_LISTENER, Interest::READ)
-            .is_err()
-            || poller
-                .add(wake_rx.as_raw_fd(), TOKEN_WAKE, Interest::READ)
-                .is_err()
-        {
-            return;
-        }
+        let shared = &inner.reactor;
         let mut conns: HashMap<u64, ConnBuf> = HashMap::new();
         let mut next_token: u64 = 2;
         let mut events = Vec::with_capacity(64);
         loop {
-            events.clear();
             let _ = poller.wait(&mut events, Some(Duration::from_millis(250)));
             if inner.shutdown.load(Ordering::SeqCst) {
                 break;
             }
-            for ev in events.clone() {
+            for ev in events.drain(..) {
                 match ev.token {
                     TOKEN_LISTENER => {
                         accept_ready(inner, listener, poller, &mut conns, &mut next_token)
@@ -358,7 +319,7 @@ mod reactor_impl {
                     }
                 }
             }
-            shared.watched.store(conns.len(), Ordering::Relaxed);
+            inner.watched.store(conns.len(), Ordering::Relaxed);
             indigo_obs::Gauge::ServeParkedConns.set(conns.len() as i64);
             // reap connections dribbling a head (slow-loris) or wedged on a
             // pending write
@@ -491,7 +452,11 @@ mod reactor_impl {
                     if cb.buf.len() > MAX_HEAD_BYTES {
                         inner.stats.bump(ServeCounter::Requests);
                         inner.stats.bump(ServeCounter::BadRequests);
-                        let seq = next_seq(inner);
+                        let mut scope = RequestScope::new(next_seq(inner), None, cb.arrived);
+                        scope.outcome = Outcome::BadRequest;
+                        inner
+                            .recorder
+                            .push(ReqRecord::from_scope(&scope, "<unparsed>", 400, 0));
                         let resp = Response::json(
                             400,
                             format!(
@@ -499,7 +464,7 @@ mod reactor_impl {
                             ),
                         )
                         .with_close()
-                        .with_request_id(format!("{seq:016x}"));
+                        .with_request_id(scope.echo);
                         cb.buf.clear();
                         cb.write_buf = resp.to_bytes();
                         cb.wpos = 0;
@@ -564,12 +529,11 @@ mod reactor_impl {
                 let req = Request::parse(&head);
                 let leftover = cb.buf[end..].to_vec();
                 let fd = cb.stream.as_raw_fd();
-                let job = Job::Ready {
+                let job = Job {
                     stream: cb.stream,
                     req,
                     arrived: cb.arrived,
                     leftover,
-                    reused: cb.reused,
                 };
                 match inner.queue.try_push(job) {
                     Ok(()) => {
@@ -578,15 +542,12 @@ mod reactor_impl {
                     Err(PushError::Full(job)) => {
                         // shed without blocking: queue the 429 on the
                         // connection and let readiness flush it
-                        let Job::Ready {
+                        let Job {
                             stream,
                             req,
                             arrived,
                             ..
-                        } = job
-                        else {
-                            return;
-                        };
+                        } = job;
                         inner.stats.bump(ServeCounter::Shed);
                         let mut scope = RequestScope::new(
                             next_seq(inner),
@@ -646,9 +607,7 @@ mod reactor_impl {
     /// Parks a keep-alive connection back with the reactor after a worker
     /// finishes a request on it.
     pub(super) fn park(inner: &Inner, stream: TcpStream, leftover: Vec<u8>) {
-        let Some(shared) = &inner.reactor else {
-            return;
-        };
+        let shared = &inner.reactor;
         {
             let mut parked = shared.parked.lock().unwrap_or_else(|e| e.into_inner());
             parked.push(Parked {
@@ -661,101 +620,12 @@ mod reactor_impl {
     }
 }
 
-#[cfg(target_os = "linux")]
-use reactor_impl::reactor_loop;
-
-// ---- blocking fallback path ----------------------------------------------
-
-/// Blocking accept loop: used off-Linux or with `reactor: false`. Polls the
-/// shutdown flag between accepts, so no throwaway-connection unblock hack
-/// is needed.
-fn accept_loop(inner: &Inner, listener: &TcpListener) {
-    if listener.set_nonblocking(true).is_err() {
-        return;
-    }
-    loop {
-        if inner.shutdown.load(Ordering::SeqCst) {
-            break;
-        }
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let _ = stream.set_nodelay(true);
-                let _ = stream.set_nonblocking(false);
-                let job = Job::Raw {
-                    stream,
-                    arrived: Instant::now(),
-                };
-                match inner.queue.try_push(job) {
-                    Ok(()) => {}
-                    Err(PushError::Full(Job::Raw { stream, .. })) => shed(inner, stream),
-                    Err(PushError::Full(_)) => {}
-                    Err(PushError::Closed(_)) => break,
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(_) => std::thread::sleep(Duration::from_millis(5)),
-        }
-    }
-}
-
-/// Load shedding on the fallback path: answered by the *acceptor* so a
-/// saturated worker pool can't delay the 429 itself.
-fn shed(inner: &Inner, mut stream: TcpStream) {
-    inner.stats.bump(ServeCounter::Requests);
-    inner.stats.bump(ServeCounter::Shed);
-    let mut scope = RequestScope::new(next_seq(inner), None, Instant::now());
-    scope.outcome = Outcome::Shed;
-    inner
-        .recorder
-        .push(ReqRecord::from_scope(&scope, "<shed>", 429, 0));
-    let secs = inner.stats.retry_after_secs(inner.queue.depth());
-    let resp = Response::json(
-        429,
-        format!(
-            "{{\"status\":\"shed\",\"error\":\"admission queue full\",\"retry_after_s\":{secs}}}"
-        ),
-    )
-    .with_retry_after(secs)
-    .with_close()
-    .with_request_id(scope.echo);
-    // drain the request first: closing a socket with unread bytes makes the
-    // kernel send RST, which destroys the 429 before the client reads it.
-    // The timeout is short — a client too slow to finish its request head
-    // forfeits the body of the shed response, not the acceptor's time
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(250)));
-    let _ = stream.set_write_timeout(Some(STREAM_TIMEOUT));
-    let mut buf = [0u8; 512];
-    loop {
-        match stream.read(&mut buf) {
-            Ok(n) if n > 0 => {
-                if buf[..n].windows(4).any(|w| w == b"\r\n\r\n") {
-                    break;
-                }
-            }
-            _ => break,
-        }
-    }
-    let _ = stream.write_all(&resp.to_bytes());
-}
-
 // ---- worker pool ----------------------------------------------------------
 
 fn worker_loop(inner: &Inner) {
     while let Some(job) = inner.queue.pop() {
         // a panic anywhere in request handling burns this connection only
-        let _ = catch_unwind(AssertUnwindSafe(|| match job {
-            Job::Ready {
-                stream,
-                req,
-                arrived,
-                leftover,
-                reused,
-            } => handle_ready(inner, stream, req, arrived, leftover, reused),
-            Job::Raw { stream, arrived } => handle_raw(inner, stream, arrived),
-        }));
+        let _ = catch_unwind(AssertUnwindSafe(|| handle_ready(inner, job)));
     }
 }
 
@@ -844,14 +714,13 @@ fn send(
 
 /// Serves one reactor-parsed request, then parks the connection back with
 /// the reactor when it stays alive.
-fn handle_ready(
-    inner: &Inner,
-    mut stream: TcpStream,
-    req: Result<Request, String>,
-    arrived: Instant,
-    leftover: Vec<u8>,
-    _reused: bool,
-) {
+fn handle_ready(inner: &Inner, job: Job) {
+    let Job {
+        mut stream,
+        req,
+        arrived,
+        leftover,
+    } = job;
     let _ = stream.set_nonblocking(false);
     let _ = stream.set_read_timeout(Some(STREAM_TIMEOUT));
     let _ = stream.set_write_timeout(Some(STREAM_TIMEOUT));
@@ -882,120 +751,19 @@ fn handle_ready(
     };
     let resp = finish_response(inner, resp, req_close);
     let wrote = send(inner, &mut stream, &resp, &scope, &target, arrived);
-    let keep = wrote && !resp.close && !inner.shutdown.load(Ordering::SeqCst);
-    if keep {
-        #[cfg(target_os = "linux")]
+    #[cfg(target_os = "linux")]
+    if wrote && !resp.close && !inner.shutdown.load(Ordering::SeqCst) {
         reactor_impl::park(inner, stream, leftover);
-        #[cfg(not(target_os = "linux"))]
-        let _ = (stream, leftover);
-    }
-}
-
-/// Fallback connection loop: reads requests off one blocking connection,
-/// keep-alive until the client (or a response) closes it.
-fn handle_raw(inner: &Inner, mut stream: TcpStream, arrived: Instant) {
-    let _ = stream.set_write_timeout(Some(STREAM_TIMEOUT));
-    let mut carry: Vec<u8> = Vec::new();
-    let mut served = 0usize;
-    loop {
-        let idle = if served == 0 {
-            STREAM_TIMEOUT
-        } else {
-            FALLBACK_KEEPALIVE_IDLE
-        };
-        let _ = stream.set_read_timeout(Some(idle));
-        match read_head_blocking(&mut stream, &mut carry) {
-            Ok(None) => break, // clean close / idle keep-alive expiry
-            Ok(Some(req)) => {
-                let arrived = if served == 0 { arrived } else { Instant::now() };
-                inner.stats.bump(ServeCounter::Requests);
-                if served > 0 {
-                    inner.stats.bump(ServeCounter::KeepAliveReuses);
-                }
-                let mut scope = RequestScope::new(next_seq(inner), req.request_id.clone(), arrived);
-                scope.queue_us = arrived.elapsed().as_micros().min(u64::MAX as u128) as u64;
-                let routed = route(inner, &req, arrived, &mut scope);
-                let resp =
-                    finish_response(inner, finalize(routed, &req.path, &mut scope), req.close);
-                let target = req_target(&req);
-                let wrote = send(inner, &mut stream, &resp, &scope, &target, arrived);
-                served += 1;
-                if !wrote || resp.close || inner.shutdown.load(Ordering::SeqCst) {
-                    break;
-                }
-            }
-            Err(e) => {
-                if served == 0 {
-                    inner.stats.bump(ServeCounter::Requests);
-                    inner.stats.bump(ServeCounter::BadRequests);
-                    let mut scope = RequestScope::new(next_seq(inner), None, arrived);
-                    scope.outcome = Outcome::BadRequest;
-                    let resp = Response::json(
-                        400,
-                        format!(
-                            "{{\"status\":\"bad-request\",\"error\":{}}}",
-                            json::str_lit(&e)
-                        ),
-                    )
-                    .with_close()
-                    .with_request_id(scope.echo.clone());
-                    let _ = resp.write_to(&mut stream);
-                    inner
-                        .recorder
-                        .push(ReqRecord::from_scope(&scope, "<unparsed>", 400, 0));
-                }
-                break;
-            }
-        }
-    }
-}
-
-/// Reads the next request head off a blocking stream, consuming from (and
-/// leaving pipelined bytes in) `carry`. `Ok(None)` = clean end of the
-/// connection (EOF or idle timeout with no partial request).
-fn read_head_blocking(
-    stream: &mut TcpStream,
-    carry: &mut Vec<u8>,
-) -> Result<Option<Request>, String> {
-    let mut chunk = [0u8; 1024];
-    loop {
-        if let Some(end) = head_end(carry) {
-            let head = String::from_utf8_lossy(&carry[..end]).into_owned();
-            carry.drain(..end);
-            return Request::parse(&head).map(Some);
-        }
-        if carry.len() > MAX_HEAD_BYTES {
-            return Err(format!("request head exceeds {MAX_HEAD_BYTES} bytes"));
-        }
-        match stream.read(&mut chunk) {
-            Ok(0) => {
-                if carry.is_empty() {
-                    return Ok(None);
-                }
-                return Err("connection closed before request was complete".into());
-            }
-            Ok(n) => carry.extend_from_slice(&chunk[..n]),
-            Err(e)
-                if carry.is_empty()
-                    && matches!(
-                        e.kind(),
-                        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                    ) =>
-            {
-                return Ok(None);
-            }
-            Err(e) => return Err(format!("read error: {e}")),
-        }
     }
 }
 
 /// Applies connection policy to a routed response: the connection closes
-/// when the client asked to, when keep-alive is off, or when shutting down.
+/// when the client asked to or when shutting down.
 fn finish_response(inner: &Inner, mut resp: Response, req_close: bool) -> Response {
     if (200..300).contains(&resp.status) {
         inner.stats.bump(ServeCounter::Ok);
     }
-    if req_close || !inner.cfg.keep_alive || inner.shutdown.load(Ordering::SeqCst) {
+    if req_close || inner.shutdown.load(Ordering::SeqCst) {
         resp = resp.with_close();
     }
     resp
@@ -1049,20 +817,12 @@ fn metrics_page(inner: &Inner) -> Response {
         .values()
         .filter(|s| s.breaker.state_label() != "closed")
         .count();
-    #[cfg(target_os = "linux")]
-    let parked_conns = inner
-        .reactor
-        .as_ref()
-        .map(|r| r.watched.load(Ordering::Relaxed))
-        .unwrap_or(0);
-    #[cfg(not(target_os = "linux"))]
-    let parked_conns = 0usize;
     let view = crate::metrics::MetricsView {
         stats: &stats,
         rolling: inner.stats.rolling_snapshot(),
         queue_depth: inner.queue.depth(),
         live_flights: inner.flights.in_flight(),
-        parked_conns,
+        parked_conns: inner.watched.load(Ordering::Relaxed),
         open_breakers,
         recorder_pushed: inner.recorder.pushed(),
         recorder_dumps: inner.recorder.dumps_written(),
@@ -1294,7 +1054,7 @@ fn run(
         cache: &inner.cache,
         stats: &inner.stats,
         flights: &inner.flights,
-        batcher: inner.batcher.as_ref(),
+        batcher: &inner.batcher,
     };
     engine::execute(&ctx, shard, &q, deadline_at, scope)
 }

@@ -97,18 +97,10 @@ struct Cli {
     requests: usize,
     /// `serve`: run the chaos gate instead of serving in the foreground.
     chaos: bool,
-    /// `serve`: batch-former merge cap (0 disables batching).
+    /// `serve`: batch-former merge cap.
     batch: usize,
     /// `serve`: batch-former window, milliseconds.
     batch_window_ms: u64,
-    /// `loadgen`: offered request rate.
-    rps: f64,
-    /// `loadgen`: concurrent client connections.
-    conns: usize,
-    /// `loadgen`: paced-phase duration, milliseconds.
-    duration_ms: u64,
-    /// `loadgen`: traffic mix (cached|sweep|mixed).
-    mix: String,
 }
 
 fn parse_args(args: Vec<String>) -> Result<Cli, String> {
@@ -134,10 +126,6 @@ fn parse_args(args: Vec<String>) -> Result<Cli, String> {
         chaos: false,
         batch: 8,
         batch_window_ms: 1,
-        rps: 300.0,
-        conns: 4,
-        duration_ms: 2_000,
-        mix: "mixed".to_string(),
     };
     let mut it = args.into_iter();
     while let Some(a) = it.next() {
@@ -206,10 +194,6 @@ fn parse_args(args: Vec<String>) -> Result<Cli, String> {
             "--chaos" => cli.chaos = true,
             "--batch" => cli.batch = parse_num(it.next(), "--batch")?,
             "--batch-window-ms" => cli.batch_window_ms = parse_num(it.next(), "--batch-window-ms")?,
-            "--rps" => cli.rps = parse_num(it.next(), "--rps")?,
-            "--conns" => cli.conns = parse_num(it.next(), "--conns")?,
-            "--duration-ms" => cli.duration_ms = parse_num(it.next(), "--duration-ms")?,
-            "--mix" => cli.mix = it.next().ok_or("--mix needs cached|sweep|mixed")?,
             "--help" | "-h" => {
                 cli.selected.clear();
                 cli.selected.push("--help".to_string());
@@ -242,7 +226,6 @@ fn real_main(args: Vec<String>) -> Result<i32, String> {
         Some("profile") => return cmd_profile(&cli),
         Some("sanitize") => return cmd_sanitize(&cli),
         Some("serve") => return cmd_serve(&cli),
-        Some("loadgen") => return cmd_loadgen(&cli),
         Some("advise") => return cmd_advise(&cli),
         _ => {}
     }
@@ -813,75 +796,6 @@ fn cmd_serve(cli: &Cli) -> Result<i32, String> {
     }
 }
 
-// ---- loadgen subcommand --------------------------------------------------
-
-/// `indigo-exp loadgen [--rps R] [--conns N] [--duration-ms MS]
-/// [--mix cached|sweep|mixed] [--serve-workers N] [--queue N] [--out DIR]`
-/// — open-loop load generator (DESIGN.md §7.9). Drives the same traffic
-/// through an unbatched (pre-PR-8) and a batched server, reports
-/// coordinated-omission-safe latency percentiles and saturation
-/// throughput for each, and writes `BENCH_loadgen.json`.
-fn cmd_loadgen(cli: &Cli) -> Result<i32, String> {
-    let mix = indigo_serve::loadgen::LoadMix::parse(&cli.mix)?;
-    let opts = indigo_serve::loadgen::LoadgenOptions {
-        rps: if cli.rps >= 1.0 { cli.rps } else { 1.0 },
-        conns: cli.conns.max(1),
-        duration: Duration::from_millis(cli.duration_ms.max(100)),
-        mix,
-        workers: cli.serve_workers.max(1),
-        queue: cli.queue.max(1),
-        ..Default::default()
-    };
-    console_line(&format!(
-        "loadgen: {} rps × {} ms over {} conns, mix {}",
-        opts.rps,
-        opts.duration.as_millis(),
-        opts.conns,
-        opts.mix.label()
-    ));
-    let report = indigo_serve::loadgen::run_loadgen(&opts)?;
-    std::fs::create_dir_all(&cli.out_dir)
-        .map_err(|e| format!("cannot create {}: {e}", cli.out_dir))?;
-    let path = Path::new(&cli.out_dir).join("BENCH_loadgen.json");
-    std::fs::write(&path, report.to_json())
-        .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
-    for m in [&report.unbatched, &report.batched] {
-        console_line(&format!(
-            "{}: {:.0}/{:.0} rps achieved/offered, p50 {:.2} ms, p99 {:.2} ms, \
-             p999 {:.2} ms, saturation {:.0} rps ({} coalesced, {} batches, \
-             {} keep-alive reuses)",
-            m.label,
-            m.achieved_rps,
-            m.offered_rps,
-            m.p50_ms,
-            m.p99_ms,
-            m.p999_ms,
-            m.saturation_rps,
-            m.coalesced,
-            m.batches,
-            m.keepalive_reuses
-        ));
-        let s = &m.stage_latency_us;
-        console_line(&format!(
-            "{} stages (p50/p99 µs): queue {}/{}, batch-wait {}/{}, \
-             execute {}/{}",
-            m.label,
-            s.queue.p50_us,
-            s.queue.p99_us,
-            s.batch_wait.p50_us,
-            s.batch_wait.p99_us,
-            s.execute.p50_us,
-            s.execute.p99_us
-        ));
-    }
-    console_line(&format!(
-        "speedup: {:.2}x saturation throughput (batched vs unbatched)",
-        report.speedup
-    ));
-    console_line(&format!("wrote {}", path.display()));
-    Ok(0)
-}
-
 /// `indigo-exp advise --journal PATH [--out DIR]` — fits the style advisor
 /// from a measured sweep journal (DESIGN.md §7.11), validates it against
 /// deterministic ground-truth sweeps on held-out generated graphs, prints
@@ -1308,8 +1222,6 @@ usage: indigo-exp <ids...> [--scale tiny|small|default|large] [--reps N]
                   [--batch N] [--batch-window-ms MS]
        indigo-exp serve --chaos [--clients N] [--requests N]
                   [--inject-fault panic|stall|corrupt@EVERY] [--out DIR]
-       indigo-exp loadgen [--rps R] [--conns N] [--duration-ms MS]
-                  [--mix cached|sweep|mixed] [--out DIR]
        indigo-exp advise  --journal PATH [--out DIR]
 
 ids: all, tables, table1 table2 table3 table45,
@@ -1349,13 +1261,11 @@ BENCH_serve.json. In chaos mode --inject-fault's index is the storm
 stride: panic@3 faults every third storm request.
 
 Requests for the same cell coalesce into one execution (single-flight)
-and distinct queries merge into batched plans (--batch, --batch-window-ms;
---batch 0 disables). Connections are keep-alive and, on Linux, served
-through an epoll readiness reactor. `loadgen` measures that path: an
-open-loop generator (latency from intended start times, so coordinated
-omission cannot hide server stalls) drives an unbatched and a batched
-in-process server and writes BENCH_loadgen.json with the saturation
-speedup; scripts/ci.sh gates it against results/BENCH_serve_baseline.json.
+and distinct queries merge into batched plans (--batch caps the merge,
+--batch-window-ms the wait). Connections are keep-alive and served
+through an epoll readiness reactor, so `serve` is Linux-only.
+benchmark/run.sh measures that path (workloads serve_hot, serve_cold,
+serve_mixed).
 
 advising: `advise` productizes the paper's 5.13/5.16 payoff (DESIGN.md
 7.11): it fits an interpretable predictor (nearest-neighbor over the

@@ -4,6 +4,8 @@
 //! `/metrics` exposition agrees with `/stats`, and a 5xx leaves a flight
 //! recorder dump naming the failing request.
 
+#![cfg(target_os = "linux")] // serving is Linux-only (epoll transport)
+
 use indigo_serve::client::{self, Client};
 use indigo_serve::{Server, ServerConfig};
 use std::time::Duration;

@@ -6,6 +6,8 @@
 //! pipeline under concurrency and randomized interleavings; these tests
 //! pin each behavior down deterministically, one at a time.
 
+#![cfg(target_os = "linux")] // serving is Linux-only (epoll transport)
+
 use indigo_serve::client::{self, ClientResponse};
 use indigo_serve::{Server, ServerConfig};
 use std::net::SocketAddr;
@@ -265,16 +267,17 @@ fn second_server_on_the_same_journal_fails_fast() {
 }
 
 #[test]
-fn batched_answers_are_bit_identical_to_unbatched() {
+fn merged_batches_answer_bit_identically_to_single_submission_plans() {
     use std::collections::HashMap;
 
     // batched server: a wide window so concurrent submissions actually
-    // merge; unbatched server: batching off entirely
+    // merge; reference server: a merge cap of 1, so every submission runs
+    // as its own plan
     let mut bat_cfg = chaos_cfg();
     bat_cfg.batch = 8;
     bat_cfg.batch_window = Duration::from_millis(5);
     let mut un_cfg = chaos_cfg();
-    un_cfg.batch = 0;
+    un_cfg.batch = 1;
     let bat = Server::start(bat_cfg).unwrap();
     let un = Server::start(un_cfg).unwrap();
 
@@ -347,7 +350,7 @@ fn batched_answers_are_bit_identical_to_unbatched() {
     // fault leg: a stalled claimer holds the flight while a clean
     // short-deadline waiter coalesces onto it and expires mid-batch —
     // the waiter's 504 must not cancel the shared run, and a later clean
-    // request must still produce the unbatched bits
+    // request must still produce the single-submission bits
     let addr = bat.addr();
     let stall = std::thread::spawn(move || {
         client::get(
@@ -375,7 +378,7 @@ fn batched_answers_are_bit_identical_to_unbatched() {
     assert_eq!(
         extract(&clean.body, "\"geps_bits\":\""),
         extract(&reference.body, "\"geps_bits\":\""),
-        "post-fault bits diverged from the unbatched server"
+        "post-fault bits diverged from the single-submission server"
     );
 }
 
@@ -421,10 +424,6 @@ fn pipelined_keep_alive_requests_answer_in_order() {
     );
 }
 
-// The reactor reaps connections that dribble their request head; the
-// blocking fallback path bounds them with its stream timeout instead, so
-// the fast reap is Linux-only behavior.
-#[cfg(target_os = "linux")]
 #[test]
 fn slow_header_connections_are_reaped() {
     use std::io::{Read, Write};
@@ -455,6 +454,42 @@ fn slow_header_connections_are_reaped() {
         "slow-header reap took {:?}",
         started.elapsed()
     );
+}
+
+#[test]
+fn oversized_request_head_is_refused_counted_and_recorded() {
+    use std::io::{Read, Write};
+
+    let server = Server::start(ServerConfig::default()).unwrap();
+    let mut stream = std::net::TcpStream::connect(server.addr()).unwrap();
+    stream.set_read_timeout(Some(TIMEOUT)).unwrap();
+    // one byte past the 8 KiB head limit, never a terminator
+    stream.write_all(&[b'a'; 8 * 1024 + 1]).unwrap();
+    let mut raw = Vec::new();
+    stream
+        .read_to_end(&mut raw)
+        .expect("the server answers, then closes");
+    let text = String::from_utf8_lossy(&raw);
+    assert!(text.starts_with("HTTP/1.1 400"), "{text}");
+    assert!(text.contains("Connection: close"), "{text}");
+    let rid = text
+        .lines()
+        .find_map(|l| l.strip_prefix("X-Request-Id: "))
+        .unwrap_or_else(|| panic!("no X-Request-Id: {text}"))
+        .trim()
+        .to_string();
+    assert!(text.contains("request head exceeds 8192 bytes"), "{text}");
+
+    let stats = get(server.addr(), "/stats");
+    assert!(stats.body.contains("\"bad_requests\":1,"), "{}", stats.body);
+    let rec = get(server.addr(), "/debug/flightrec");
+    let entry = rec
+        .body
+        .split("{\"seq\":")
+        .find(|r| r.contains(&format!("\"id\":\"{rid}\"")))
+        .unwrap_or_else(|| panic!("no flight record for {rid}: {}", rec.body));
+    assert!(entry.contains("\"target\":\"<unparsed>\""), "{entry}");
+    assert!(entry.contains("\"status\":400"), "{entry}");
 }
 
 /// Every `(fp, geps_bits)` pair in a success body.
