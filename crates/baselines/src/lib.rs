@@ -29,8 +29,9 @@
 //! and retains capacity across levels, waves, iterations, *and* calls:
 //! after a first warm-up call per shape, the kernels allocate nothing.
 //! Each module's `cpu` wraps a `cpu_into` variant that also reuses the
-//! caller's output buffer — the form the allocation-regression test and
-//! the `cpu_perf` probe pin at exactly zero steady-state allocations.
+//! caller's output buffer — the form `tests/alloc_regression.rs` pins at
+//! exactly zero steady-state allocations (and, single-threaded under
+//! `--features telemetry`, at exact frontier/bucket counts).
 
 pub mod bfs;
 pub mod cc;

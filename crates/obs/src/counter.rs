@@ -18,7 +18,7 @@ use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 /// Number of registered counters (kept in sync with [`Counter::ALL`]).
-pub const NUM_COUNTERS: usize = 42;
+pub const NUM_COUNTERS: usize = 30;
 
 /// Every counter in the workspace, grouped by layer.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -92,33 +92,7 @@ pub enum Counter {
     SanitizeConflicts,
     /// Style-label violations the sanitizer confirmed.
     SanitizeViolations,
-    // ---- serve: query-server robustness counters (DESIGN.md §7.8) ----
-    /// HTTP requests accepted off the listener (includes later sheds).
-    ServeRequests,
-    /// Requests shed by admission control (429) or expired in queue.
-    ServeShed,
-    /// Cell re-executions after a transient crashed/timed-out attempt.
-    ServeRetries,
-    /// Requests that exhausted their deadline (504).
-    ServeTimeouts,
-    /// Requests answered from the degraded path (cache or serial oracle)
-    /// while a shard's circuit breaker was open.
-    ServeDegraded,
-    /// Requests (or cells) answered from the fingerprint result cache.
-    ServeCacheHits,
-    /// Circuit-breaker transitions closed → open.
-    ServeBreakerTrips,
-    /// Circuit-breaker recoveries (half-open probe succeeded → closed).
-    ServeBreakerRecoveries,
-    /// Merged plans executed by the batch former (DESIGN.md §7.9).
-    ServeBatches,
-    /// Claimed cells resolved through batched plan executions.
-    ServeBatchedCells,
-    /// Requests that joined another request's in-flight cell instead of
-    /// executing it themselves (single-flight coalescing).
-    ServeCoalesced,
-    /// Requests served over a reused keep-alive connection.
-    ServeKeepAliveReuses,
+    // ---- serve: the two events `serve::Stats` does not count itself ----
     /// `/metrics` exposition scrapes served (DESIGN.md §7.10).
     ServeMetricsScrapes,
     /// Flight-recorder dumps written to `FLIGHT_*.jsonl` (5xx triggers and
@@ -158,18 +132,6 @@ impl Counter {
         Counter::JournalAppendNanos,
         Counter::SanitizeConflicts,
         Counter::SanitizeViolations,
-        Counter::ServeRequests,
-        Counter::ServeShed,
-        Counter::ServeRetries,
-        Counter::ServeTimeouts,
-        Counter::ServeDegraded,
-        Counter::ServeCacheHits,
-        Counter::ServeBreakerTrips,
-        Counter::ServeBreakerRecoveries,
-        Counter::ServeBatches,
-        Counter::ServeBatchedCells,
-        Counter::ServeCoalesced,
-        Counter::ServeKeepAliveReuses,
         Counter::ServeMetricsScrapes,
         Counter::ServeFlightDumps,
     ];
@@ -206,18 +168,6 @@ impl Counter {
             Counter::JournalAppendNanos => "harness.journal_append_nanos",
             Counter::SanitizeConflicts => "sanitize.conflicts",
             Counter::SanitizeViolations => "sanitize.violations",
-            Counter::ServeRequests => "serve.requests",
-            Counter::ServeShed => "serve.shed",
-            Counter::ServeRetries => "serve.retries",
-            Counter::ServeTimeouts => "serve.timeouts",
-            Counter::ServeDegraded => "serve.degraded",
-            Counter::ServeCacheHits => "serve.cache_hits",
-            Counter::ServeBreakerTrips => "serve.breaker_trips",
-            Counter::ServeBreakerRecoveries => "serve.breaker_recoveries",
-            Counter::ServeBatches => "serve.batches",
-            Counter::ServeBatchedCells => "serve.batch_cells",
-            Counter::ServeCoalesced => "serve.coalesced",
-            Counter::ServeKeepAliveReuses => "serve.keepalive_reuses",
             Counter::ServeMetricsScrapes => "serve.metrics_scrapes",
             Counter::ServeFlightDumps => "serve.flight_dumps",
         }

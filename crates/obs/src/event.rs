@@ -209,6 +209,17 @@ pub fn json_str(s: &str) -> String {
     out
 }
 
+/// Renders a finite `f64` as a JSON number (shortest round-trip form).
+/// JSON has no NaN/inf literals — those become `null`.
+#[must_use]
+pub fn json_num(v: f64) -> String {
+    if v.is_finite() {
+        format!("{v}")
+    } else {
+        "null".into()
+    }
+}
+
 /// Finds `"key": ` at top level and returns the byte offset just past it.
 fn find_field(line: &str, key: &str) -> Option<usize> {
     let tag = format!("\"{key}\": ");
@@ -310,6 +321,15 @@ mod tests {
         assert_eq!(back, ev);
         assert_eq!(back.arg("outcome"), Some("ok"));
         assert_eq!(back.arg("missing"), None);
+    }
+
+    #[test]
+    fn escapes_cover_the_dangerous_cases() {
+        assert_eq!(json_str("plain"), "\"plain\"");
+        assert_eq!(json_str("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
+        assert_eq!(json_str("\u{1}"), "\"\\u0001\"");
+        assert_eq!(json_num(1.5), "1.5");
+        assert_eq!(json_num(f64::NAN), "null");
     }
 
     #[test]

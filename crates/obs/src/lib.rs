@@ -47,7 +47,7 @@ pub mod sink;
 pub mod window;
 
 pub use counter::{counters_snapshot, Counter, CounterSnapshot, NUM_COUNTERS};
-pub use event::{load_trace, now_micros, validate_line, TraceEvent};
+pub use event::{json_num, json_str, load_trace, now_micros, validate_line, TraceEvent};
 pub use gauge::{gauges_snapshot, Gauge, GaugeSnapshot, NUM_GAUGES};
 pub use hist::{hists_snapshot, Hist, HistSnapshot, NUM_BUCKETS, NUM_HISTS};
 pub use ring::SeqRing;

@@ -22,9 +22,9 @@
 
 use crate::client::{self, ClientResponse};
 use crate::config::ServerConfig;
-use crate::json;
 use crate::server::Server;
 use indigo_harness::CellFaultKind;
+use indigo_obs::json_num;
 use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -156,17 +156,17 @@ impl ChaosReport {
             self.breaker_trips,
             self.breaker_recoveries,
             self.recovered_cells,
-            json::num(self.latency_ms.p50),
-            json::num(self.latency_ms.p90),
-            json::num(self.latency_ms.p99),
-            json::num(self.latency_ms.max),
-            json::num(self.saturation_rps),
+            json_num(self.latency_ms.p50),
+            json_num(self.latency_ms.p90),
+            json_num(self.latency_ms.p99),
+            json_num(self.latency_ms.max),
+            json_num(self.saturation_rps),
             self.metrics_series,
             self.advised,
             self.flight_pushed,
             self.flight_dumps,
             self.telemetry_enabled,
-            json::str_lit(&self.config),
+            indigo_obs::json_str(&self.config),
         )
     }
 }

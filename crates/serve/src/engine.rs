@@ -23,13 +23,13 @@ use crate::cache::{CachedCell, ResultCache};
 use crate::config::{parse_scale, scale_label, ServerConfig};
 use crate::flightrec::{Outcome, RequestScope};
 use crate::http::{Request, Response};
-use crate::json;
 use crate::stats::{ServeCounter, Stats};
 use indigo_core::serial;
 use indigo_graph::gen::{suite_graph, Scale, SuiteGraph, SUITE_GRAPHS};
 use indigo_graph::{Csr, INF};
 use indigo_harness::journal::fingerprint;
 use indigo_harness::{CellFaultKind, FaultSpec, RunPlan, TargetSpec};
+use indigo_obs::{json_num, json_str};
 use indigo_styles::{enumerate, Algorithm, Model, StyleConfig};
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -361,7 +361,7 @@ pub fn execute(
             report_breaker(ctx, shard, false, probe);
             let body = format!(
                 "{{\"status\":\"timeout\",\"error\":{},\"attempts\":{attempt}}}",
-                json::str_lit(&format!(
+                json_str(&format!(
                     "deadline of {} ms exhausted after {attempt} attempt(s)",
                     q.deadline.as_millis(),
                 )),
@@ -668,9 +668,9 @@ fn result_body(
         cell_objs.push(format!(
             "{{\"fp\":\"{:016x}\",\"variant\":{},\"target\":{},\"geps\":{},\"geps_bits\":\"{:016x}\",\"iterations\":{}}}",
             c.fp,
-            json::str_lit(&c.variant),
-            json::str_lit(&c.target),
-            json::num(geps),
+            json_str(&c.variant),
+            json_str(&c.target),
+            json_num(geps),
             entry.geps_bits,
             entry.iterations
         ));
@@ -678,10 +678,10 @@ fn result_body(
     let mut body = format!(
         "{{\"status\":\"ok\",\"cached\":{cached},\"degraded\":{degraded},\"attempts\":{attempts},\
          \"algo\":{},\"model\":{},\"graph\":{},\"scale\":{},\"cells\":[{}]",
-        json::str_lit(q.algo.label()),
-        json::str_lit(q.model.label()),
-        json::str_lit(q.graph.label()),
-        json::str_lit(scale_label(q.scale)),
+        json_str(q.algo.label()),
+        json_str(q.model.label()),
+        json_str(q.graph.label()),
+        json_str(scale_label(q.scale)),
         cell_objs.join(",")
     );
     if q.sweep {
@@ -689,9 +689,9 @@ fn result_body(
             body.push_str(&format!(
                 ",\"summary\":{{\"cells\":{},\"best_geps\":{},\"best_variant\":{},\"best_target\":{}}}",
                 cell_objs.len(),
-                json::num(geps),
-                json::str_lit(&c.variant),
-                json::str_lit(&c.target)
+                json_num(geps),
+                json_str(&c.variant),
+                json_str(&c.target)
             ));
         }
     }
@@ -710,17 +710,17 @@ fn failure_body(
         .map(|(variant, target, outcome, detail)| {
             format!(
                 "{{\"variant\":{},\"target\":{},\"outcome\":{},\"detail\":{}}}",
-                json::str_lit(variant),
-                json::str_lit(target),
-                json::str_lit(outcome),
-                json::str_lit(detail)
+                json_str(variant),
+                json_str(target),
+                json_str(outcome),
+                json_str(detail)
             )
         })
         .collect();
     format!(
         "{{\"status\":{},\"error\":{},\"attempts\":{attempts},\"failures\":[{}]}}",
-        json::str_lit(status),
-        json::str_lit(error),
+        json_str(status),
+        json_str(error),
         items.join(",")
     )
 }
@@ -747,9 +747,9 @@ fn degraded(
                 "{{\"status\":\"degraded\",\"degraded\":true,\"breaker\":\"open\",\
                  \"algo\":{},\"graph\":{},\"scale\":{},\"oracle\":{summary},\
                  \"retry_after_ms\":{}}}",
-                json::str_lit(q.algo.label()),
-                json::str_lit(q.graph.label()),
-                json::str_lit(scale_label(q.scale)),
+                json_str(q.algo.label()),
+                json_str(q.graph.label()),
+                json_str(scale_label(q.scale)),
                 retry_after.as_millis()
             );
             Response::json(200, body).with_retry_after(retry_secs)
@@ -827,7 +827,7 @@ fn oracle_summary(algo: Algorithm, g: &Csr) -> String {
             format!(
                 "{{\"kind\":\"serial-pagerank\",\"vertices\":{},\"max_rank\":{}}}",
                 ranks.len(),
-                json::num(max as f64)
+                json_num(max as f64)
             )
         }
         Algorithm::Tc => {
@@ -966,9 +966,9 @@ mod tests {
             cell_objs.push(format!(
                 "{{\"fp\":\"{:016x}\",\"variant\":{},\"target\":{},\"geps\":{},\"geps_bits\":\"{:016x}\",\"iterations\":{}}}",
                 c.fp,
-                json::str_lit(&c.variant),
-                json::str_lit(&c.target),
-                json::num(geps),
+                json_str(&c.variant),
+                json_str(&c.target),
+                json_num(geps),
                 entry.geps_bits,
                 entry.iterations
             ));
@@ -976,10 +976,10 @@ mod tests {
         let mut body = format!(
             "{{\"status\":\"ok\",\"cached\":true,\"degraded\":false,\"attempts\":0,\
              \"algo\":{},\"model\":{},\"graph\":{},\"scale\":{},\"cells\":[{}]",
-            json::str_lit(q.algo.label()),
-            json::str_lit(q.model.label()),
-            json::str_lit(q.graph.label()),
-            json::str_lit(scale_label(q.scale)),
+            json_str(q.algo.label()),
+            json_str(q.model.label()),
+            json_str(q.graph.label()),
+            json_str(scale_label(q.scale)),
             cell_objs.join(",")
         );
         if q.sweep {
@@ -987,9 +987,9 @@ mod tests {
             body.push_str(&format!(
                 ",\"summary\":{{\"cells\":{},\"best_geps\":{},\"best_variant\":{},\"best_target\":{}}}",
                 cell_objs.len(),
-                json::num(geps),
-                json::str_lit(&c.variant),
-                json::str_lit(&c.target)
+                json_num(geps),
+                json_str(&c.variant),
+                json_str(&c.target)
             ));
         }
         body.push('}');

@@ -43,7 +43,6 @@ pub mod config;
 pub mod engine;
 pub mod flightrec;
 pub mod http;
-mod json;
 pub mod metrics;
 pub mod reactor;
 pub mod retry;

@@ -25,10 +25,10 @@ use crate::config::ServerConfig;
 use crate::engine::{self, EngineCtx, Shard};
 use crate::flightrec::{FlightRecorder, Outcome, ReqRecord, RequestScope};
 use crate::http::{head_end, Request, Response, MAX_HEAD_BYTES};
-use crate::json;
 use crate::stats::{ServeCounter, Stats};
 use indigo_graph::gen::{Scale, SuiteGraph, SUITE_GRAPHS};
 use indigo_graph::stats::FEATURE_NAMES;
+use indigo_obs::{json_num, json_str};
 use indigo_styles::{Algorithm, Model, StyleConfig};
 use std::collections::HashMap;
 use std::io::{Read, Write};
@@ -740,10 +740,7 @@ fn handle_ready(inner: &Inner, job: Job) {
             scope.outcome = Outcome::BadRequest;
             let resp = Response::json(
                 400,
-                format!(
-                    "{{\"status\":\"bad-request\",\"error\":{}}}",
-                    json::str_lit(e)
-                ),
+                format!("{{\"status\":\"bad-request\",\"error\":{}}}", json_str(e)),
             )
             .with_close();
             (finalize(resp, "", &mut scope), true, "<unparsed>".into())
@@ -796,7 +793,7 @@ fn route(inner: &Inner, req: &Request, arrived: Instant, scope: &mut RequestScop
                 404,
                 format!(
                     "{{\"status\":\"bad-request\",\"error\":{}}}",
-                    json::str_lit(&format!(
+                    json_str(&format!(
                         "no route `{path}` (/health /stats /metrics /cell /advise /run /sweep /debug/flightrec)"
                     ))
                 ),
@@ -835,13 +832,7 @@ fn health(inner: &Inner) -> Response {
     let mut breakers: Vec<String> = inner
         .shards
         .iter()
-        .map(|(label, s)| {
-            format!(
-                "{}:{}",
-                json::str_lit(label),
-                json::str_lit(s.breaker.state_label())
-            )
-        })
+        .map(|(label, s)| format!("{}:{}", json_str(label), json_str(s.breaker.state_label())))
         .collect();
     breakers.sort(); // deterministic body
     Response::json(
@@ -874,7 +865,7 @@ fn cell(inner: &Inner, req: &Request, scope: &mut RequestScope) -> Response {
             400,
             format!(
                 "{{\"status\":\"bad-request\",\"error\":{}}}",
-                json::str_lit(&format!("`fp` is not hex: `{fp_hex}`"))
+                json_str(&format!("`fp` is not hex: `{fp_hex}`"))
             ),
         );
     };
@@ -888,10 +879,10 @@ fn cell(inner: &Inner, req: &Request, scope: &mut RequestScope) -> Response {
                     "{{\"status\":\"ok\",\"cached\":true,\"fp\":\"{fp:016x}\",\
                      \"variant\":{},\"graph\":{},\"target\":{},\"geps\":{},\
                      \"geps_bits\":\"{:016x}\",\"iterations\":{}}}",
-                    json::str_lit(&c.variant),
-                    json::str_lit(&c.graph),
-                    json::str_lit(&c.target),
-                    json::num(c.geps()),
+                    json_str(&c.variant),
+                    json_str(&c.graph),
+                    json_str(&c.target),
+                    json_num(c.geps()),
                     c.geps_bits,
                     c.iterations
                 ),
@@ -923,10 +914,7 @@ fn advise(inner: &Inner, req: &Request, scope: &mut RequestScope) -> Response {
             scope.outcome = Outcome::BadRequest;
             return Response::json(
                 400,
-                format!(
-                    "{{\"status\":\"bad-request\",\"error\":{}}}",
-                    json::str_lit(&e)
-                ),
+                format!("{{\"status\":\"bad-request\",\"error\":{}}}", json_str(&e)),
             );
         }
     };
@@ -946,8 +934,8 @@ fn advise(inner: &Inner, req: &Request, scope: &mut RequestScope) -> Response {
         .map(|n| {
             format!(
                 "{}:{}",
-                json::str_lit(n),
-                json::num(a.features.get(n).unwrap_or(0.0))
+                json_str(n),
+                json_num(a.features.get(n).unwrap_or(0.0))
             )
         })
         .collect();
@@ -956,13 +944,13 @@ fn advise(inner: &Inner, req: &Request, scope: &mut RequestScope) -> Response {
         .ranked
         .iter()
         .take(5)
-        .map(|v| json::str_lit(v))
+        .map(|v| json_str(v))
         .collect();
     let neighbor = match &a.advice.neighbor {
         Some((label, d)) => format!(
             "{{\"graph\":{},\"distance\":{}}}",
-            json::str_lit(label),
-            json::num(*d)
+            json_str(label),
+            json_num(*d)
         ),
         None => "null".into(),
     };
@@ -972,12 +960,12 @@ fn advise(inner: &Inner, req: &Request, scope: &mut RequestScope) -> Response {
             "{{\"status\":\"ok\",\"algo\":{},\"model\":{},\"graph\":{},\"scale\":{},\
              \"style\":{},\"method\":{},\"neighbor\":{neighbor},\"ranked\":[{}],\
              \"features\":{{{}}},\"training_cells\":{},\"training_graphs\":{}}}",
-            json::str_lit(algo.label()),
-            json::str_lit(model.label()),
-            json::str_lit(graph.label()),
-            json::str_lit(crate::config::scale_label(scale)),
-            json::str_lit(a.advice.best()),
-            json::str_lit(a.advice.method.label()),
+            json_str(algo.label()),
+            json_str(model.label()),
+            json_str(graph.label()),
+            json_str(crate::config::scale_label(scale)),
+            json_str(a.advice.best()),
+            json_str(a.advice.method.label()),
             ranked.join(","),
             features.join(","),
             a.training_cells,
@@ -1000,10 +988,7 @@ fn run(
             scope.outcome = Outcome::BadRequest;
             return Response::json(
                 400,
-                format!(
-                    "{{\"status\":\"bad-request\",\"error\":{}}}",
-                    json::str_lit(&e)
-                ),
+                format!("{{\"status\":\"bad-request\",\"error\":{}}}", json_str(&e)),
             );
         }
     };
@@ -1041,7 +1026,7 @@ fn run(
             504,
             format!(
                 "{{\"status\":\"timeout\",\"error\":{}}}",
-                json::str_lit(&format!(
+                json_str(&format!(
                     "deadline of {} ms expired while queued",
                     q.deadline.as_millis()
                 ))

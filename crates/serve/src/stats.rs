@@ -4,9 +4,7 @@
 //! "retries counted") must hold in *every* build, so the server keeps its
 //! own plain atomics rather than relying on `crates/obs` counters (which
 //! compile to nothing without the `telemetry` feature). Counters are a
-//! [`ServeCounter`]-indexed array: one [`Stats::bump`] updates the
-//! always-on slot *and* mirrors into the matching obs counter, so call
-//! sites can't drift the two apart, and [`Stats::snapshot`] can read the
+//! [`ServeCounter`]-indexed array, so [`Stats::snapshot`] can read the
 //! whole array in one coherent sweep (re-read until stable) instead of
 //! per-field loads — ratios like coalesced/requests can't be torn by a
 //! bump landing mid-snapshot.
@@ -109,31 +107,6 @@ impl ServeCounter {
             ServeCounter::Advised => "advised",
         }
     }
-
-    /// The obs counter this one mirrors into in telemetry builds (`None`
-    /// for counters the obs layer doesn't track separately).
-    fn mirror(self) -> Option<indigo_obs::Counter> {
-        use indigo_obs::Counter as C;
-        match self {
-            ServeCounter::Requests => Some(C::ServeRequests),
-            ServeCounter::Shed => Some(C::ServeShed),
-            ServeCounter::Timeouts => Some(C::ServeTimeouts),
-            ServeCounter::Retries => Some(C::ServeRetries),
-            ServeCounter::Degraded => Some(C::ServeDegraded),
-            ServeCounter::CacheHits => Some(C::ServeCacheHits),
-            ServeCounter::BreakerTrips => Some(C::ServeBreakerTrips),
-            ServeCounter::BreakerRecoveries => Some(C::ServeBreakerRecoveries),
-            ServeCounter::Batches => Some(C::ServeBatches),
-            ServeCounter::BatchedCells => Some(C::ServeBatchedCells),
-            ServeCounter::Coalesced => Some(C::ServeCoalesced),
-            ServeCounter::KeepAliveReuses => Some(C::ServeKeepAliveReuses),
-            ServeCounter::Ok
-            | ServeCounter::Failed
-            | ServeCounter::BadRequests
-            | ServeCounter::JournalErrors
-            | ServeCounter::Advised => None,
-        }
-    }
 }
 
 /// Monotonic request-pipeline counters plus latency histograms (cumulative
@@ -172,19 +145,16 @@ impl Stats {
         }
     }
 
-    /// Adds 1 to `c` (and its obs mirror, in telemetry builds).
+    /// Adds 1 to `c`.
     #[inline]
     pub fn bump(&self, c: ServeCounter) {
         self.add(c, 1);
     }
 
-    /// Adds `n` to `c` (and its obs mirror, in telemetry builds).
+    /// Adds `n` to `c`.
     #[inline]
     pub fn add(&self, c: ServeCounter, n: u64) {
         self.counters[c as usize].fetch_add(n, Ordering::Relaxed);
-        if let Some(m) = c.mirror() {
-            m.add(n);
-        }
     }
 
     /// Current value of one counter.

@@ -134,22 +134,6 @@ grep -q '"trigger":true' "$smoke_dir"/serve/FLIGHT_*.jsonl ||
     { echo "flight dumps carry no trigger record"; exit 1; }
 grep -q '"stages":{"queue_us":' "$smoke_dir"/serve/FLIGHT_*.jsonl ||
     { echo "flight dumps carry no stage timeline"; exit 1; }
-cp "$bench_serve" results/BENCH_serve.json
-
-stage "simulator perf smoke (deterministic: cycles + allocation counts)"
-# Wall-clock is deliberately NOT gated (shared runners flake); the probe
-# compares simulated cycles, access counts, and steady-state allocation
-# counts against the committed baseline — warn at 10%, fail at 30%.
-# The probe reads telemetry counter deltas, so it needs the feature on.
-cargo build -q --release -p indigo-bench --bin gpusim_perf --features telemetry
-target/release/gpusim_perf --check results/BENCH_gpusim_baseline.json
-
-stage "CPU baseline perf smoke (deterministic: frontier counters + allocs)"
-# Same contract for the tuned CPU kernels (DESIGN.md §7.7): frontier and
-# bucket counters are compared single-threaded (deterministic), and the
-# steady-state allocation count is pinned at the committed baseline's 0.
-cargo build -q --release -p indigo-bench --bin cpu_perf --features telemetry
-target/release/cpu_perf --check results/BENCH_cpu_baseline.json
 
 stage "benchmark smoke (self-tests + five quick workloads: correctness only)"
 # benchmark/ (BENCHMARK.json) is a package outside the workspace, so
