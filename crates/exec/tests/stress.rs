@@ -91,7 +91,7 @@ fn double_worklist_driven_by_pool() {
         pool.parallel_for(len, Schedule::dynamic(), |idx, _| {
             let v = cur.get(idx);
             // halve the values each round (0 terminates), no duplicates
-            if v >= 2 && v % 2 == 0 && stamps.try_claim(v / 2, iter, false) {
+            if v >= 2 && v.is_multiple_of(2) && stamps.try_claim(v / 2, iter, false) {
                 dw.next().push(v / 2);
             }
         });

@@ -19,7 +19,7 @@ const ASSIGNS: [Assign; 3] = [
 fn skewed_work(i: usize) -> usize {
     if i == 0 {
         8192
-    } else if i % 97 == 0 {
+    } else if i.is_multiple_of(97) {
         256
     } else {
         2
@@ -232,7 +232,7 @@ fn pooled_panic_drains_and_sim_stays_usable() {
     // panic skips only the remainder of its own block)
     let done = executed.load(Ordering::Relaxed);
     assert!(
-        done >= N - 2048 && done < N,
+        (N - 2048..N).contains(&done),
         "drained {done} of {N} items; other blocks should have completed"
     );
 

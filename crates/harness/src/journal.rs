@@ -374,8 +374,8 @@ impl Journal {
         Ok(())
     }
 
-    /// Appends a batch of completed cells under one lock with one flush —
-    /// the amortization the serve-path batch former exists for. Durability
+    /// Appends a batch of completed cells under one lock with one flush
+    /// (the server journals each executed plan's cells this way). Durability
     /// is the same as [`Journal::record`] per *batch*: a kill mid-append
     /// loses at most this batch's tail lines, each of which is torn-tail
     /// recoverable on load.

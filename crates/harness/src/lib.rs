@@ -44,7 +44,7 @@ pub mod sanitize;
 pub mod schedule;
 pub mod stats;
 
-pub use matrix::{Measurement, RunPlan, TargetSpec};
+pub use matrix::{Measurement, Prepared, RunPlan, TargetSpec};
 pub use outcome::{
     CellFaultKind, CellOutcome, CellRecord, FaultSpec, MatrixRun, Resilience, RunSummary,
 };

@@ -11,6 +11,11 @@
 //! cell lands in a slot indexed by the serial nesting order — so results
 //! are bit-identical to a single-threaded run for any job count.
 //!
+//! The Prepare phase is also an entry point: `run_cells` is "prepare, then
+//! [`RunPlan::run_cells_on`]", and a caller that keeps its [`Prepared`]
+//! inputs (the query server, one per resident graph) calls the second half
+//! directly.
+//!
 //! [`RunPlan::run_with`] is the strict legacy entry point, now a thin layer
 //! over `run_cells`: isolation only, and any non-`Ok` outcome re-raised as
 //! a panic.
@@ -93,6 +98,49 @@ pub struct RunPlan {
     /// Verify every output against the serial reference (§4.1). Slows large
     /// sweeps; recommended on.
     pub verify: bool,
+}
+
+/// One prepared input: a suite graph in every layout the styles need, its
+/// copy in simulated device memory, and the `(graph, scale)` it was built
+/// from. Preparing is the matrix's fixed cost — generation, layout
+/// conversion, upload, and (memoized inside the [`GraphInput`]) the serial
+/// reference solutions — so a caller that runs many plans over the same
+/// graphs keeps its inputs and hands them to [`RunPlan::run_cells_on`].
+pub struct Prepared {
+    which: SuiteGraph,
+    scale: Scale,
+    input: GraphInput,
+    device: DeviceGraph,
+}
+
+impl Prepared {
+    /// Generates `which` at `scale` and uploads it.
+    pub fn new(which: SuiteGraph, scale: Scale) -> Prepared {
+        let input = GraphInput::new(suite_graph(which, scale));
+        // upload once per graph, reused by every GPU variant
+        let device = DeviceGraph::upload(&input);
+        Prepared {
+            which,
+            scale,
+            input,
+            device,
+        }
+    }
+
+    /// The suite graph this input was generated from.
+    pub fn which(&self) -> SuiteGraph {
+        self.which
+    }
+
+    /// The scale this input was generated at.
+    pub fn scale(&self) -> Scale {
+        self.scale
+    }
+
+    /// The host-side input (CSR + COO, always weighted).
+    pub fn input(&self) -> &GraphInput {
+        &self.input
+    }
 }
 
 /// One enumerated cell: its slot (serial nesting position) plus indices
@@ -220,55 +268,56 @@ impl RunPlan {
         res: &Resilience,
         mut progress: impl FnMut(ProgressEvent),
     ) -> Result<MatrixRun, String> {
+        // refuse an unusable configuration before paying for the inputs
+        self.check(res)?;
+        let inputs = self.prepare(options.jobs.max(1), &mut progress);
+        self.run_cells_on(&inputs, options, res, progress)
+    }
+
+    /// [`RunPlan::run_cells`] on inputs the caller already holds: the GPU
+    /// and CPU phases only, so a plan of one or two cells costs its cells
+    /// and not a graph generation. `inputs[i]` must be `self.graphs[i]` at
+    /// `self.scale` — anything else is an `Err` before any cell runs,
+    /// because the cell fingerprints name the plan's graphs and a
+    /// measurement of another input filed under them would be replayed as
+    /// theirs from every journal and cache it reaches.
+    pub fn run_cells_on(
+        &self,
+        inputs: &[Arc<Prepared>],
+        options: &RunOptions,
+        res: &Resilience,
+        mut progress: impl FnMut(ProgressEvent),
+    ) -> Result<MatrixRun, String> {
         let jobs = options.jobs.max(1);
-
-        // A zero-duration budget would arm a watchdog whose deadline has
-        // already passed: every cell is cancelled at its first checkpoint
-        // and the whole matrix reads as timed out. Nobody means that —
-        // reject it loudly ("no timeout" is spelled by omitting the option).
-        if res.cell_timeout.is_some_and(|d| d.is_zero()) {
-            return Err(
-                "cell timeout of 0s would cancel every cell at its first checkpoint; \
-                 omit --cell-timeout to run without a watchdog"
-                    .to_string(),
-            );
+        self.check(res)?;
+        if inputs.len() != self.graphs.len() {
+            return Err(format!(
+                "plan has {} graph(s) but {} prepared input(s)",
+                self.graphs.len(),
+                inputs.len()
+            ));
         }
-
-        if let Some(f) = res.fault {
-            if f.kind == CellFaultKind::Stall && res.cell_timeout.is_none() {
-                return Err(
-                    "a stall fault needs a cell timeout: the watchdog is what recovers from a stall"
-                        .to_string(),
-                );
-            }
-            if f.kind == CellFaultKind::Corrupt && !self.verify {
-                return Err(
-                    "a corrupt fault needs verification enabled to be observable".to_string(),
-                );
+        for (want, got) in self.graphs.iter().zip(inputs) {
+            if (got.which, got.scale) != (*want, self.scale) {
+                return Err(format!(
+                    "prepared input is {} at {:?}, the plan wants {} at {:?}",
+                    got.which.label(),
+                    got.scale,
+                    want.label(),
+                    self.scale
+                ));
             }
         }
 
         // ---- journal: load what a previous (interrupted) run completed,
         // open the appender for what this run will complete
-        let resumed: HashMap<u64, JournalEntry> = if res.resume {
-            let path = res
-                .journal
-                .as_ref()
-                .ok_or_else(|| "resume requested without a journal path".to_string())?;
-            let (map, _skipped) = journal::load(path)
-                .map_err(|e| format!("cannot read journal {}: {e}", path.display()))?;
-            map
-        } else {
-            if let Some(path) = &res.journal {
-                let len = std::fs::metadata(path).map(|m| m.len()).unwrap_or(0);
-                if len > 0 {
-                    return Err(format!(
-                        "journal {} already exists; resume it or remove it first",
-                        path.display()
-                    ));
-                }
+        let resumed: HashMap<u64, JournalEntry> = match &res.journal {
+            Some(path) if res.resume => {
+                journal::load(path)
+                    .map_err(|e| format!("cannot read journal {}: {e}", path.display()))?
+                    .0
             }
-            HashMap::new()
+            _ => HashMap::new(),
         };
         let writer = match &res.journal {
             Some(path) => Some(
@@ -280,37 +329,6 @@ impl RunPlan {
         let journal_err: Mutex<Option<String>> = Mutex::new(None);
 
         let watchdog = res.cell_timeout.map(|_| Watchdog::start());
-
-        // ---- phase 1: prepare inputs (generate + upload), one per graph
-        let started = Instant::now();
-        let started_us = indigo_obs::now_micros();
-        progress(ProgressEvent::PhaseStart {
-            phase: RunPhase::Prepare,
-            total: self.graphs.len(),
-        });
-        let inputs = run_indexed_parallel(
-            self.graphs.len(),
-            jobs,
-            |g| {
-                let input = GraphInput::new(suite_graph(self.graphs[g], self.scale));
-                // upload once per graph, reused by every GPU variant
-                let dg = DeviceGraph::upload(&input);
-                (input, dg)
-            },
-            |done| {
-                progress(ProgressEvent::Cell {
-                    phase: RunPhase::Prepare,
-                    done,
-                    total: self.graphs.len(),
-                });
-            },
-        );
-        progress(ProgressEvent::PhaseEnd {
-            phase: RunPhase::Prepare,
-            total: self.graphs.len(),
-            secs: started.elapsed().as_secs_f64(),
-        });
-        emit_phase_span(RunPhase::Prepare, started_us, self.graphs.len());
 
         // ---- enumerate cells in serial nesting order; the slot index is
         // the position a single-threaded run would emit the measurement at
@@ -403,6 +421,79 @@ impl RunPlan {
         Ok(MatrixRun { records })
     }
 
+    /// Everything about `res` that can be refused without running anything.
+    fn check(&self, res: &Resilience) -> Result<(), String> {
+        // A zero-duration budget would arm a watchdog whose deadline has
+        // already passed: every cell is cancelled at its first checkpoint
+        // and the whole matrix reads as timed out. Nobody means that —
+        // reject it loudly ("no timeout" is spelled by omitting the option).
+        if res.cell_timeout.is_some_and(|d| d.is_zero()) {
+            return Err(
+                "cell timeout of 0s would cancel every cell at its first checkpoint; \
+                 omit --cell-timeout to run without a watchdog"
+                    .to_string(),
+            );
+        }
+
+        if let Some(f) = res.fault {
+            if f.kind == CellFaultKind::Stall && res.cell_timeout.is_none() {
+                return Err(
+                    "a stall fault needs a cell timeout: the watchdog is what recovers from a stall"
+                        .to_string(),
+                );
+            }
+            if f.kind == CellFaultKind::Corrupt && !self.verify {
+                return Err(
+                    "a corrupt fault needs verification enabled to be observable".to_string(),
+                );
+            }
+        }
+
+        match &res.journal {
+            None if res.resume => Err("resume requested without a journal path".to_string()),
+            Some(path) if !res.resume => {
+                let len = std::fs::metadata(path).map(|m| m.len()).unwrap_or(0);
+                if len > 0 {
+                    return Err(format!(
+                        "journal {} already exists; resume it or remove it first",
+                        path.display()
+                    ));
+                }
+                Ok(())
+            }
+            _ => Ok(()),
+        }
+    }
+
+    /// Phase 1: prepare inputs (generate + upload), one per graph.
+    fn prepare(&self, jobs: usize, progress: &mut impl FnMut(ProgressEvent)) -> Vec<Arc<Prepared>> {
+        let started = Instant::now();
+        let started_us = indigo_obs::now_micros();
+        progress(ProgressEvent::PhaseStart {
+            phase: RunPhase::Prepare,
+            total: self.graphs.len(),
+        });
+        let inputs = run_indexed_parallel(
+            self.graphs.len(),
+            jobs,
+            |g| Arc::new(Prepared::new(self.graphs[g], self.scale)),
+            |done| {
+                progress(ProgressEvent::Cell {
+                    phase: RunPhase::Prepare,
+                    done,
+                    total: self.graphs.len(),
+                });
+            },
+        );
+        progress(ProgressEvent::PhaseEnd {
+            phase: RunPhase::Prepare,
+            total: self.graphs.len(),
+            secs: started.elapsed().as_secs_f64(),
+        });
+        emit_phase_span(RunPhase::Prepare, started_us, self.graphs.len());
+        inputs
+    }
+
     /// Splits the matrix into GPU-sim and CPU wall-clock cells, assigning
     /// serial-nesting slot indices (graphs → variants → targets).
     fn enumerate_cells(&self) -> (Vec<Cell>, Vec<Cell>, usize) {
@@ -438,7 +529,7 @@ impl RunPlan {
     fn execute_cell(
         &self,
         cell: &Cell,
-        prepared: &(GraphInput, DeviceGraph),
+        prepared: &Prepared,
         options: &RunOptions,
         res: &Resilience,
         watchdog: Option<&Watchdog>,
@@ -502,7 +593,7 @@ impl RunPlan {
             }
         }
 
-        let (input, dg) = prepared;
+        let (input, dg) = (&prepared.input, &prepared.device);
         let cell_started_us = if indigo_obs::enabled() {
             indigo_obs::now_micros()
         } else {
@@ -1154,43 +1245,93 @@ mod tests {
 
     #[test]
     fn run_indexed_parallel_returns_when_the_last_item_does() {
-        // 8 items of ~1 ms on 2 jobs is ~4 ms of work; the caller used to
-        // poll every 25 ms, so every call cost at least one full poll
-        let item = || {
-            let t = Instant::now();
-            while t.elapsed() < Duration::from_millis(1) {
-                std::hint::spin_loop();
-            }
-        };
+        // 8 items of ~1 ms on 2 jobs; the caller used to poll every 25 ms
+        // (first check at 0, work done at ~4 ms), so it returned ~21 ms
+        // after the last item finished. Each item stamps its finish and the
+        // assertion is on that lateness alone: load on thread spawn or on
+        // the spinning items is not what this guards
         let best = (0..5)
             .map(|_| {
                 let mut ticks = Vec::new();
-                let t = Instant::now();
+                let finished: Vec<OnceLock<Instant>> = (0..8).map(|_| OnceLock::new()).collect();
                 let out = run_indexed_parallel(
                     8,
                     2,
                     |i| {
-                        item();
+                        let t = Instant::now();
+                        while t.elapsed() < Duration::from_millis(1) {
+                            std::hint::spin_loop();
+                        }
+                        finished[i].set(Instant::now()).unwrap();
                         i * i
                     },
                     |done| ticks.push(done),
                 );
-                let took = t.elapsed();
+                let returned = Instant::now();
                 assert_eq!(out, [0, 1, 4, 9, 16, 25, 36, 49]);
                 assert_eq!(ticks.last(), Some(&8));
                 assert!(ticks.windows(2).all(|w| w[0] < w[1]), "{ticks:?}");
-                took
+                let last = finished.iter().map(|f| *f.get().unwrap()).max().unwrap();
+                returned - last
             })
             .min()
             .unwrap();
-        // best of five: a loaded CI box may preempt one run, not all
-        assert!(best < Duration::from_millis(15), "took {best:?}");
+        // best of five: a loaded CI box may preempt one wake-up, not all
+        assert!(best < Duration::from_millis(10), "returned {best:?} late");
     }
 
     fn tc_plan() -> RunPlan {
         RunPlan::for_algorithms(&[Algorithm::Tc], &[Model::Cuda], Scale::Tiny, 1)
             .filter(|c| c.granularity == Some(indigo_styles::Granularity::Thread))
             .with_graphs(vec![SuiteGraph::Grid2d])
+    }
+
+    #[test]
+    fn run_cells_on_equals_run_cells_and_refuses_foreign_inputs() {
+        let plan = tc_plan();
+        let opts = RunOptions::default();
+        let res = Resilience::none();
+        let input = |which, scale| Arc::new(Prepared::new(which, scale));
+        let fresh = plan.run_cells(&opts, &res, |_| {}).unwrap();
+        let grid = input(SuiteGraph::Grid2d, Scale::Tiny);
+        // twice on one input: the second run verifies against memoized
+        // references and must still read the same
+        for _ in 0..2 {
+            let on = plan
+                .run_cells_on(std::slice::from_ref(&grid), &opts, &res, |_| {})
+                .unwrap();
+            assert_eq!(fresh.records.len(), on.records.len());
+            for (a, b) in fresh.records.iter().zip(&on.records) {
+                assert_eq!(a.fingerprint, b.fingerprint);
+                assert_eq!(
+                    (&a.variant, a.graph, &a.target),
+                    (&b.variant, b.graph, &b.target)
+                );
+                let (ma, mb) = (
+                    a.outcome.measurement().unwrap(),
+                    b.outcome.measurement().unwrap(),
+                );
+                assert_eq!(ma.geps.to_bits(), mb.geps.to_bits(), "{}", a.variant);
+                assert_eq!(ma.iterations, mb.iterations);
+            }
+        }
+
+        // a wrong input under a right fingerprint would poison every cache
+        // and journal downstream: refused, and no cell runs
+        let foreign = [
+            vec![input(SuiteGraph::Rmat, Scale::Tiny)],
+            vec![input(SuiteGraph::Grid2d, Scale::Small)],
+            vec![],
+            vec![Arc::clone(&grid), Arc::clone(&grid)],
+        ];
+        for inputs in foreign {
+            let mut events = 0usize;
+            let err = plan
+                .run_cells_on(&inputs, &opts, &res, |_| events += 1)
+                .unwrap_err();
+            assert!(err.contains("prepared input"), "{err}");
+            assert_eq!(events, 0, "{err}: cells ran");
+        }
     }
 
     #[test]

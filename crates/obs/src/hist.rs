@@ -41,8 +41,8 @@ pub enum Hist {
     /// Time a request sat in the admission queue before a worker picked it
     /// up, microseconds (DESIGN.md §7.10 stage attribution).
     ServeQueueWaitMicros,
-    /// Time between a cell claim entering the batch former and its merged
-    /// plan starting to execute, microseconds.
+    /// Time between a cell claim being queued for the serve executor and
+    /// its plan starting to execute, microseconds.
     ServeBatchWaitMicros,
     /// Engine execution time (route entry → response body assembled),
     /// microseconds.
@@ -117,6 +117,27 @@ pub fn bucket_floor(i: usize) -> u64 {
     }
 }
 
+/// Bucket-floor estimate of the `p`-th percentile (`0.0..=100.0`) of one
+/// log₂ bucket array: the lower edge of the bucket where the cumulative
+/// count crosses. Returns 0 when nothing was recorded. The one routine
+/// behind every bucketed percentile in the workspace.
+#[must_use]
+pub fn percentile_floor(buckets: &[u64; NUM_BUCKETS], p: f64) -> u64 {
+    let total: u64 = buckets.iter().sum();
+    if total == 0 {
+        return 0;
+    }
+    let rank = ((p / 100.0) * total as f64).ceil().max(1.0) as u64;
+    let mut seen = 0u64;
+    for (i, &c) in buckets.iter().enumerate() {
+        seen += c;
+        if seen >= rank {
+            return bucket_floor(i);
+        }
+    }
+    bucket_floor(NUM_BUCKETS - 1)
+}
+
 #[cfg(feature = "telemetry")]
 mod storage {
     use super::{AtomicU64, NUM_BUCKETS, NUM_HISTS};
@@ -155,24 +176,10 @@ impl HistSnapshot {
         self.counts[h as usize].iter().sum()
     }
 
-    /// Bucket-floor estimate of the `p`-th percentile (`0.0..=100.0`):
-    /// the lower edge of the bucket where the cumulative count crosses.
-    /// Returns 0 for an empty histogram.
+    /// [`percentile_floor`] of one histogram.
     #[must_use]
     pub fn percentile_floor(&self, h: Hist, p: f64) -> u64 {
-        let total = self.count(h);
-        if total == 0 {
-            return 0;
-        }
-        let rank = ((p / 100.0) * total as f64).ceil().max(1.0) as u64;
-        let mut seen = 0u64;
-        for (i, &c) in self.counts[h as usize].iter().enumerate() {
-            seen += c;
-            if seen >= rank {
-                return bucket_floor(i);
-            }
-        }
-        bucket_floor(NUM_BUCKETS - 1)
+        percentile_floor(self.buckets(h), p)
     }
 }
 

@@ -20,7 +20,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::event::now_micros;
-use crate::hist::{bucket_floor, bucket_of, NUM_BUCKETS};
+use crate::hist::{bucket_floor, bucket_of, percentile_floor, NUM_BUCKETS};
 
 /// Seconds of history a [`RollingHist`] retains.
 pub const WINDOW_SECS: usize = 10;
@@ -129,23 +129,10 @@ impl RollingSnapshot {
         self.buckets.iter().sum()
     }
 
-    /// Bucket-floor estimate of the `p`-th percentile (`0.0..=100.0`);
-    /// 0 for an empty window.
+    /// [`percentile_floor`] of the window; 0 when empty.
     #[must_use]
     pub fn percentile_floor(&self, p: f64) -> u64 {
-        let total = self.count();
-        if total == 0 {
-            return 0;
-        }
-        let rank = ((p / 100.0) * total as f64).ceil().max(1.0) as u64;
-        let mut seen = 0u64;
-        for (i, &c) in self.buckets.iter().enumerate() {
-            seen += c;
-            if seen >= rank {
-                return bucket_floor(i);
-            }
-        }
-        bucket_floor(NUM_BUCKETS - 1)
+        percentile_floor(&self.buckets, p)
     }
 
     /// Samples whose bucket floor is at or above `threshold` — the SLO

@@ -9,7 +9,6 @@
 
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex};
-use std::time::{Duration, Instant};
 
 /// Why a push was refused.
 #[derive(Debug)]
@@ -48,8 +47,8 @@ impl<T> Admission<T> {
     }
 
     /// Like [`Admission::new`] but without `serve.queue_depth` telemetry —
-    /// for internal queues (the batch former) whose depth would pollute the
-    /// request-queue histogram.
+    /// for internal queues (the plan executor's) whose depth would pollute
+    /// the request-queue histogram.
     pub fn new_unrecorded(capacity: usize) -> Admission<T> {
         Admission {
             record_depth: false,
@@ -90,41 +89,6 @@ impl<T> Admission<T> {
                 return None;
             }
             st = self.ready.wait(st).unwrap_or_else(|e| e.into_inner());
-        }
-    }
-
-    /// A queued item if one is immediately available (never blocks).
-    pub fn try_pop(&self) -> Option<T> {
-        self.state
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .queue
-            .pop_front()
-    }
-
-    /// Blocks up to `timeout` for the next item. `None` means the wait
-    /// timed out, or the queue closed and drained — either way there is
-    /// nothing to do right now. This is the queue's own timed wait: callers
-    /// (the batch former, tests) never need a throwaway watcher thread.
-    pub fn pop_timeout(&self, timeout: Duration) -> Option<T> {
-        let deadline = Instant::now() + timeout;
-        let mut st = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        loop {
-            if let Some(item) = st.queue.pop_front() {
-                return Some(item);
-            }
-            if st.closed {
-                return None;
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return None;
-            }
-            let (guard, _timed_out) = self
-                .ready
-                .wait_timeout(st, deadline - now)
-                .unwrap_or_else(|e| e.into_inner());
-            st = guard;
         }
     }
 
@@ -178,23 +142,7 @@ mod tests {
         }
         // pending items still drain after close...
         assert_eq!(q.pop(), Some(7));
-        // ...and a pop on an empty closed queue returns None immediately,
-        // even through the timed path
+        // ...and a pop on an empty closed queue returns None immediately
         assert_eq!(q.pop(), None);
-        assert_eq!(q.pop_timeout(Duration::from_secs(5)), None);
-    }
-
-    #[test]
-    fn pop_timeout_waits_out_its_budget_then_gives_up() {
-        let q: Admission<i32> = Admission::new(1);
-        let t0 = Instant::now();
-        assert_eq!(q.pop_timeout(Duration::from_millis(40)), None);
-        assert!(t0.elapsed() >= Duration::from_millis(35));
-        // an item already queued returns without waiting
-        q.try_push(42).unwrap();
-        let t0 = Instant::now();
-        assert_eq!(q.pop_timeout(Duration::from_secs(5)), Some(42));
-        assert!(t0.elapsed() < Duration::from_secs(1));
-        assert_eq!(q.try_pop(), None);
     }
 }

@@ -3,8 +3,8 @@
 //!
 //! The server already holds everything the offline advisor needs: the
 //! fingerprint cache is a measured (variant, graph) → throughput table, and
-//! the shards own the resident suite graphs whose features the model keys
-//! on. [`AdvisorHub`] memoizes both halves — per-(graph, scale) feature
+//! the shards own the resident prepared inputs whose features the model
+//! keys on. [`AdvisorHub`] memoizes both halves — per-(graph, scale) feature
 //! vectors behind a shared [`StatsScratch`], and one fitted
 //! [`Advisor`] per cache generation. The cache is insert-only, so its cell
 //! count identifies its contents: any new journaled cell bumps the count
@@ -54,8 +54,8 @@ impl AdvisorHub {
         if let Some(f) = memo.get(&key) {
             return *f;
         }
-        let g = shard.graph(scale);
-        let f = GraphStats::compute_with(&g, scratch).features();
+        let g = shard.prepared(scale);
+        let f = GraphStats::compute_with(&g.input().csr, scratch).features();
         memo.insert(key, f);
         f
     }
@@ -173,7 +173,7 @@ mod tests {
             graph,
             target: "titan-v".into(),
             outcome: CellOutcome::Ok(Measurement {
-                cfg: cfg.clone(),
+                cfg: *cfg,
                 graph,
                 target: "titan-v".into(),
                 geps,

@@ -1,7 +1,7 @@
-//! Single-flight coalescing and continuous batching (DESIGN.md §7.9).
+//! Single-flight coalescing and the single plan executor (DESIGN.md §7.9).
 //!
 //! Two cooperating layers sit between the request engine and
-//! `RunPlan::run_cells`:
+//! `RunPlan::run_cells_on`:
 //!
 //! * **Single-flight ([`Flights`]).** In-flight work is keyed by the PR 2
 //!   cell fingerprint. The first request to need a missing cell *claims*
@@ -11,17 +11,15 @@
 //!   if the claiming executor dies or drops the claim, the flight resolves
 //!   as transient so waiters re-claim instead of hanging, and a resolved
 //!   flight leaves the registry so the cell can be retried.
-//! * **Batching ([`Batcher`]).** Claimed work is submitted to a batch
-//!   former that drains its queue up to a size/window bound (closing the
-//!   window early when the queue is empty — batching must never add
-//!   latency to an idle server) and coalesces compatible submissions into
-//!   one `run_cells` matrix invocation, amortizing graph generation, pool
-//!   leases, and journal appends. Submissions merge only when the merged
-//!   plan computes *exactly* the union of the requested cells: same
-//!   (scale, reps) and either the same graph (variant union) or identical
-//!   variant sets (graph union). Fault-injected submissions never merge —
-//!   an injected fault strikes the plan's first cell, so merging would
-//!   fault someone else's work.
+//! * **Execution ([`Batcher`]).** Claimed work is a [`Submission`]: the
+//!   claimer's missing variants plus its shard's resident
+//!   [`Prepared`] input. One thread drains submissions in arrival order
+//!   and runs each as one plan through [`run_submission`]. A plan carries
+//!   no fixed cost of its own — the graph, its device copy and the serial
+//!   references it is verified against stay with the shard — so nothing is
+//!   merged and nothing waits for company. Fault-injected submissions
+//!   never enter the queue: the claimer runs them itself, through the same
+//!   function, so an injected stall wedges its own attempt only.
 //!
 //! Coalescing is semantically invisible: answers are assembled per-request
 //! from the fingerprint cache (which is keep-first, so a cell's bits never
@@ -32,8 +30,9 @@
 use crate::admission::Admission;
 use crate::cache::ResultCache;
 use crate::stats::{ServeCounter, Stats};
-use indigo_graph::gen::{Scale, SuiteGraph};
-use indigo_harness::{CellOutcome, CellRecord, FaultSpec, Resilience, RunOptions, RunPlan};
+use indigo_harness::{
+    CellOutcome, CellRecord, FaultSpec, Prepared, Resilience, RunOptions, RunPlan,
+};
 use indigo_obs::now_micros;
 use indigo_styles::StyleConfig;
 use std::collections::HashMap;
@@ -74,8 +73,9 @@ pub enum FlightResult {
 ///
 /// A flight also carries its request-scoped attribution (DESIGN.md §7.10):
 /// the claiming request's sequence number (so coalesced waiters can report
-/// `served_by`), when it was claimed, and when its merged plan actually
-/// started executing — the gap between the two is the batch-wait stage.
+/// `served_by`), when it was claimed, and when its plan actually started
+/// executing — the gap between the two, the time queued for the executor,
+/// is the batch-wait stage.
 pub struct Flight {
     state: Mutex<Option<FlightResult>>,
     done: Condvar,
@@ -83,7 +83,7 @@ pub struct Flight {
     owner: u64,
     /// `now_micros()` at claim time.
     claimed_at_us: u64,
-    /// `now_micros()` when the merged plan began executing (0 = not yet).
+    /// `now_micros()` when the plan began executing (0 = not yet).
     exec_start_us: AtomicU64,
 }
 
@@ -103,7 +103,7 @@ impl Flight {
         self.owner
     }
 
-    /// Stamps the moment the merged plan started executing (first stamp
+    /// Stamps the moment the plan started executing (first stamp
     /// wins — a flight runs exactly once).
     pub fn mark_exec_start(&self, at_us: u64) {
         let _ = self.exec_start_us.compare_exchange(
@@ -114,8 +114,8 @@ impl Flight {
         );
     }
 
-    /// Claim → plan execution start, µs (0 while still parked in the
-    /// former, or if the flight resolved without executing).
+    /// Claim → plan execution start, µs (0 while still queued for the
+    /// executor, or if the flight resolved without executing).
     pub fn batch_wait_us(&self) -> u64 {
         let start = self.exec_start_us.load(Ordering::Relaxed);
         if start == 0 {
@@ -294,57 +294,53 @@ impl Flights {
     }
 }
 
-/// One attempt's worth of claimed work, handed to the batch former.
+/// One attempt's worth of claimed work: one plan on one resident input.
 pub struct Submission {
-    /// Input graph (all claimed cells of a submission share it).
-    pub graph: SuiteGraph,
-    /// Instance scale.
-    pub scale: Scale,
+    /// The shard's resident input; names the plan's graph and scale.
+    pub input: Arc<Prepared>,
     /// Repetitions per cell.
     pub reps: usize,
     /// Style variants to replan.
     pub variants: Vec<StyleConfig>,
     /// Per-cell watchdog budget for this attempt.
     pub budget: Duration,
-    /// Injected fault (chaos mode). A faulted submission never merges.
+    /// Injected fault (chaos mode); strikes the plan's first cell.
     pub fault: Option<FaultSpec>,
     /// The flights this submission must resolve.
     pub claims: Vec<ClaimGuard>,
 }
 
-/// Batch former tuning.
-#[derive(Clone, Copy, Debug)]
-pub struct BatchConfig {
-    /// Most submissions merged into one `run_cells` invocation.
-    pub max_batch: usize,
-    /// Longest the former waits for more submissions once it has one.
-    pub window: Duration,
-}
-
-/// The continuous batch former: one thread that drains submissions,
-/// groups them into mergeable plans, executes each plan, and resolves the
-/// claimed flights.
+/// The single executor: one thread that drains submissions in arrival
+/// order, runs each as its own plan, and resolves the claimed flights.
+/// (The name is from when it merged submissions into batches; a batch is
+/// now one submission, which is what `/stats` `batches` counts.)
 pub struct Batcher {
     queue: Arc<Admission<Submission>>,
     runner: Mutex<Option<JoinHandle<()>>>,
 }
 
 impl Batcher {
-    /// Spawns the former thread.
+    /// Spawns the executor thread.
     pub fn spawn(
-        cfg: BatchConfig,
         cache: Arc<ResultCache>,
         stats: Arc<Stats>,
         jobs: usize,
     ) -> std::io::Result<Batcher> {
-        // capacity bounds claimers parked on the batcher, not clients —
+        // capacity bounds claimers parked on the executor, not clients —
         // a full queue makes the claimer run inline instead
-        let queue = Arc::new(Admission::new_unrecorded(64));
+        let queue: Arc<Admission<Submission>> = Arc::new(Admission::new_unrecorded(64));
         let runner = {
             let queue = Arc::clone(&queue);
             std::thread::Builder::new()
                 .name("serve-batcher".into())
-                .spawn(move || former_loop(&cfg, &queue, &cache, &stats, jobs))?
+                .spawn(move || {
+                    while let Some(sub) = queue.pop() {
+                        let claims = sub.claims.len() as u64;
+                        run_submission(&cache, &stats, jobs, sub);
+                        stats.bump(ServeCounter::Batches);
+                        stats.add(ServeCounter::BatchedCells, claims);
+                    }
+                })?
         };
         Ok(Batcher {
             queue,
@@ -352,8 +348,8 @@ impl Batcher {
         })
     }
 
-    /// Hands a submission to the former. `Err` returns it (queue full or
-    /// closed) — the caller should execute inline.
+    /// Queues a submission for the executor. `Err` returns it (queue full
+    /// or closed) — the caller should execute inline.
     pub fn submit(&self, sub: Submission) -> Result<(), Submission> {
         self.queue.try_push(sub).map_err(|e| match e {
             crate::admission::PushError::Full(s) => s,
@@ -361,7 +357,7 @@ impl Batcher {
         })
     }
 
-    /// Stops the former once the queue drains and joins it.
+    /// Stops the executor once the queue drains and joins it.
     pub fn shutdown(&self) {
         self.queue.close();
         if let Some(h) = self.runner.lock().unwrap_or_else(|e| e.into_inner()).take() {
@@ -376,154 +372,25 @@ impl Drop for Batcher {
     }
 }
 
-fn former_loop(
-    cfg: &BatchConfig,
-    queue: &Admission<Submission>,
-    cache: &ResultCache,
-    stats: &Stats,
-    jobs: usize,
-) {
-    while let Some(first) = queue.pop() {
-        let mut batch = vec![first];
-        let window_closes = Instant::now() + cfg.window;
-        while batch.len() < cfg.max_batch.max(1) {
-            // adaptive window: while more submissions are queued keep
-            // draining (up to the window), but an empty queue closes the
-            // window early — an idle server pays zero batching latency
-            match queue.try_pop() {
-                Some(s) => batch.push(s),
-                None => {
-                    let now = Instant::now();
-                    if now >= window_closes || queue.depth() == 0 {
-                        break;
-                    }
-                    match queue.pop_timeout(window_closes - now) {
-                        Some(s) => batch.push(s),
-                        None => break,
-                    }
-                }
-            }
-        }
-        execute_batch(batch, cache, stats, jobs);
-    }
-}
-
-/// A mergeable plan-in-progress: the union of compatible submissions.
-struct Group {
-    scale: Scale,
-    reps: usize,
-    graphs: Vec<SuiteGraph>,
-    variants: Vec<StyleConfig>,
-    budget: Duration,
-    fault: Option<FaultSpec>,
-    claims: Vec<ClaimGuard>,
-}
-
-impl Group {
-    fn of(sub: Submission) -> Group {
-        Group {
-            scale: sub.scale,
-            reps: sub.reps,
-            graphs: vec![sub.graph],
-            variants: sub.variants,
-            budget: sub.budget,
-            fault: sub.fault,
-            claims: sub.claims,
-        }
-    }
-
-    /// Same variant *set*, whatever the order (each list is duplicate-free:
-    /// a query names distinct variants and `absorb` keeps them distinct).
-    fn same_variants(&self, other: &Group) -> bool {
-        self.variants.len() == other.variants.len()
-            && self.variants.iter().all(|v| other.variants.contains(v))
-    }
-
-    fn absorb(&mut self, sub: Submission) {
-        for v in sub.variants {
-            if !self.variants.contains(&v) {
-                self.variants.push(v);
-            }
-        }
-        // the shared watchdog runs at the *longest* member budget: a
-        // short-deadline waiter 504s on its own clock rather than timing
-        // out everyone else's cells
-        self.budget = self.budget.max(sub.budget);
-        self.claims.extend(sub.claims);
-    }
-}
-
-/// Groups a drained batch into mergeable plans: merged groups first, then
-/// the fault-injected submissions, each alone.
-fn plan_groups(batch: Vec<Submission>) -> Vec<Group> {
-    let mut solo: Vec<Group> = Vec::new();
-    let mut groups: Vec<Group> = Vec::new();
-    for sub in batch {
-        if sub.fault.is_some() {
-            solo.push(Group::of(sub));
-            continue;
-        }
-        match groups
-            .iter_mut()
-            .find(|g| g.scale == sub.scale && g.reps == sub.reps && g.graphs == [sub.graph])
-        {
-            Some(g) => g.absorb(sub),
-            None => groups.push(Group::of(sub)),
-        }
-    }
-    // second pass: groups with identical variant sets merge across graphs
-    // (still exactly the union of requested cells — no cross-product bloat)
-    let mut merged: Vec<Group> = Vec::new();
-    for g in groups {
-        match merged
-            .iter_mut()
-            .find(|m| m.scale == g.scale && m.reps == g.reps && m.same_variants(&g))
-        {
-            Some(m) => {
-                for graph in g.graphs {
-                    if !m.graphs.contains(&graph) {
-                        m.graphs.push(graph);
-                    }
-                }
-                m.budget = m.budget.max(g.budget);
-                m.claims.extend(g.claims);
-            }
-            None => merged.push(g),
-        }
-    }
-    merged.extend(solo);
-    merged
-}
-
-/// Executes a drained batch, one merged plan at a time.
-fn execute_batch(batch: Vec<Submission>, cache: &ResultCache, stats: &Stats, jobs: usize) {
-    for g in plan_groups(batch) {
-        let coalesced = g.claims.len();
-        let plan = RunPlan {
-            variants: g.variants,
-            graphs: g.graphs,
-            scale: g.scale,
-            reps: g.reps,
-            verify: true,
-        };
-        run_claims(cache, stats, jobs, plan, g.budget, g.fault, g.claims);
-        stats.bump(ServeCounter::Batches);
-        stats.add(ServeCounter::BatchedCells, coalesced as u64);
-    }
-}
-
-/// Executes one plan and resolves its claims — shared by the batcher and
-/// by the engine's inline (batching-off) path, so both produce identical
-/// cache contents and flight outcomes.
-pub fn run_claims(
-    cache: &ResultCache,
-    stats: &Stats,
-    jobs: usize,
-    plan: RunPlan,
-    budget: Duration,
-    fault: Option<FaultSpec>,
-    claims: Vec<ClaimGuard>,
-) {
+/// Executes one submission as one plan and resolves its claims — the one
+/// runner behind the executor thread and the engine's inline route, so
+/// both produce identical cache contents and flight outcomes.
+pub fn run_submission(cache: &ResultCache, stats: &Stats, jobs: usize, sub: Submission) {
+    let Submission {
+        input,
+        reps,
+        variants,
+        budget,
+        fault,
+        claims,
+    } = sub;
+    let plan = RunPlan {
+        variants,
+        graphs: vec![input.which()],
+        scale: input.scale(),
+        reps,
+        verify: true,
+    };
     let mut res = Resilience::none().with_cell_timeout(budget);
     if let Some(f) = fault {
         res = res.with_fault(f);
@@ -537,7 +404,9 @@ pub fn run_claims(
         indigo_obs::Hist::ServeBatchWaitMicros.record(flight.batch_wait_us());
     }
     let opts = RunOptions::default().with_jobs(jobs.max(1));
-    let outcome = catch_unwind(AssertUnwindSafe(|| plan.run_cells(&opts, &res, |_| {})));
+    let outcome = catch_unwind(AssertUnwindSafe(|| {
+        plan.run_cells_on(&[input], &opts, &res, |_| {})
+    }));
     let run = match outcome {
         Ok(Ok(run)) => run,
         Ok(Err(e)) => {
@@ -661,34 +530,5 @@ mod tests {
         assert_eq!(reg.in_flight(), 1);
         c.into_iter().next().unwrap().resolve(FlightResult::Done);
         assert!(matches!(flight.peek(), Some(FlightResult::Done)));
-    }
-
-    #[test]
-    fn merge_rules_group_by_graph_and_by_variant_set() {
-        use indigo_styles::{Algorithm, Model};
-        let reg = Arc::new(Flights::new());
-        let v1 = StyleConfig::baseline(Algorithm::Tc, Model::Cuda);
-        let v2 = StyleConfig::baseline(Algorithm::Bfs, Model::Cuda);
-        let sub = |graph, variants: Vec<StyleConfig>, fp| Submission {
-            graph,
-            scale: Scale::Tiny,
-            reps: 1,
-            variants,
-            budget: Duration::from_millis(100),
-            fault: None,
-            claims: claims(&reg, &[fp]).0,
-        };
-        // same graph → variant union; same variant set (in any order) →
-        // graph union
-        let batch = vec![
-            sub(SuiteGraph::Grid2d, vec![v1], 1),
-            sub(SuiteGraph::Grid2d, vec![v2], 2),
-            sub(SuiteGraph::Rmat, vec![v2, v1], 3),
-        ];
-        let merged = plan_groups(batch);
-        assert_eq!(merged.len(), 1, "identical variant sets merge graphs");
-        assert_eq!(merged[0].graphs, [SuiteGraph::Grid2d, SuiteGraph::Rmat]);
-        assert_eq!(merged[0].variants.len(), 2);
-        assert_eq!(merged[0].claims.len(), 3);
     }
 }

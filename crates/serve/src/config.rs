@@ -16,7 +16,7 @@ pub struct ServerConfig {
     pub workers: usize,
     /// Admission-queue capacity; connections beyond it are shed (429).
     pub queue: usize,
-    /// `--jobs` handed to `run_cells` per request.
+    /// `--jobs` handed to `run_cells_on` per plan.
     pub jobs: usize,
     /// Deadline for requests that don't pass `deadline_ms`.
     pub default_deadline: Duration,
@@ -35,12 +35,6 @@ pub struct ServerConfig {
     /// Honor `fault=`/`fault_attempts=` query parameters (chaos harness
     /// only — a production server must never let clients inject faults).
     pub allow_fault_param: bool,
-    /// Largest number of submissions the batch former merges into one
-    /// `run_cells` invocation (clamped to ≥ 1: one submission per plan).
-    pub batch: usize,
-    /// Longest the batch former holds an open batch waiting for more
-    /// submissions; the window closes early when the queue is empty.
-    pub batch_window: Duration,
     /// How long a connection may dribble in its request head before the
     /// reactor reaps it (slow-loris bound).
     pub header_timeout: Duration,
@@ -68,8 +62,6 @@ impl Default for ServerConfig {
             breaker: BreakerConfig::default(),
             journal: None,
             allow_fault_param: false,
-            batch: 8,
-            batch_window: Duration::from_millis(1),
             header_timeout: Duration::from_secs(10),
             flightrec_dir: None,
             slo_micros: 250_000,

@@ -2,7 +2,9 @@
 //! retry → degrade (DESIGN.md §7.8).
 //!
 //! A query names an algorithm, a graph, a scale, and one or more style
-//! variants; the engine multiplexes it onto [`RunPlan::run_cells`]. The
+//! variants; the engine turns its missing cells into one
+//! [`Submission`] per attempt on the shard's resident [`Prepared`] input
+//! (`crate::batch::run_submission` is the only place a plan is built). The
 //! robustness contract:
 //!
 //! * **Deadlines.** The remaining request budget is split across the
@@ -25,10 +27,10 @@ use crate::flightrec::{Outcome, RequestScope};
 use crate::http::{Request, Response};
 use crate::stats::{ServeCounter, Stats};
 use indigo_core::serial;
-use indigo_graph::gen::{suite_graph, Scale, SuiteGraph, SUITE_GRAPHS};
+use indigo_graph::gen::{Scale, SuiteGraph, SUITE_GRAPHS};
 use indigo_graph::{Csr, INF};
 use indigo_harness::journal::fingerprint;
-use indigo_harness::{CellFaultKind, FaultSpec, RunPlan, TargetSpec};
+use indigo_harness::{CellFaultKind, FaultSpec, Prepared, TargetSpec};
 use indigo_obs::{json_num, json_str};
 use indigo_styles::{enumerate, Algorithm, Model, StyleConfig};
 use std::collections::HashMap;
@@ -39,13 +41,16 @@ use std::time::{Duration, Instant};
 /// Smallest per-attempt watchdog budget worth arming.
 const MIN_ATTEMPT_BUDGET: Duration = Duration::from_millis(10);
 
-/// One graph shard: its breaker plus lazily generated resident instances.
+/// One graph shard: its breaker plus its resident prepared inputs, one per
+/// scale, generated on first use. Execution, the degraded oracle and the
+/// advisor's features all read the same instance, so a graph is generated,
+/// uploaded and serially solved once per process, not once per request.
 pub struct Shard {
     /// Which suite graph this shard owns.
     pub which: SuiteGraph,
     /// The shard's circuit breaker.
     pub breaker: Breaker,
-    graphs: Mutex<HashMap<Scale, Arc<Csr>>>,
+    prepared: Mutex<HashMap<Scale, Arc<Prepared>>>,
 }
 
 impl Shard {
@@ -54,17 +59,18 @@ impl Shard {
         Shard {
             which,
             breaker: Breaker::new(breaker),
-            graphs: Mutex::new(HashMap::new()),
+            prepared: Mutex::new(HashMap::new()),
         }
     }
 
-    /// The resident graph instance at `scale` (generated on first use).
-    pub fn graph(&self, scale: Scale) -> Arc<Csr> {
-        let mut graphs = self.graphs.lock().unwrap_or_else(|e| e.into_inner());
+    /// The resident input at `scale` (generated on first use, under the
+    /// shard's lock, so concurrent first requests generate it once).
+    pub fn prepared(&self, scale: Scale) -> Arc<Prepared> {
+        let mut prepared = self.prepared.lock().unwrap_or_else(|e| e.into_inner());
         Arc::clone(
-            graphs
+            prepared
                 .entry(scale)
-                .or_insert_with(|| Arc::new(suite_graph(self.which, scale))),
+                .or_insert_with(|| Arc::new(Prepared::new(self.which, scale))),
         )
     }
 }
@@ -300,7 +306,7 @@ pub struct EngineCtx<'a> {
     pub stats: &'a Arc<Stats>,
     /// Single-flight registry keyed by cell fingerprint.
     pub flights: &'a Arc<Flights>,
-    /// Batch former.
+    /// The single plan executor.
     pub batcher: &'a Batcher,
 }
 
@@ -310,11 +316,11 @@ pub struct EngineCtx<'a> {
 /// Since PR 8 execution goes through the single-flight registry: each
 /// round, the request *claims* the missing cells nobody else is computing
 /// and *joins* the flights already in the air. A round with claims runs
-/// them (through the batch former; inline when the submission carries an
-/// injected fault or the former is full or closed); a round with only
-/// joins just waits. Either way the request then settles its own verdict
-/// — its 504 clock, retry budget, and breaker report are never delegated
-/// to whoever happens to execute the cells.
+/// them (on the executor thread; inline when the submission carries an
+/// injected fault or the executor's queue is full or closed); a round with
+/// only joins just waits. Either way the request then settles its own
+/// verdict — its 504 clock, retry budget, and breaker report are never
+/// delegated to whoever happens to execute the cells.
 ///
 /// `scope` is the request's observability scope (DESIGN.md §7.10): the
 /// engine fills in attempts, batch-wait attribution, the serving flight's
@@ -398,23 +404,7 @@ pub fn execute(
         if claimed.is_empty() {
             if joined.is_empty() {
                 // nothing left to wait on and no attempts left to execute
-                report_breaker(ctx, shard, false, probe);
-                scope.attempts = u64::from(attempt);
-                return if timed_out_only {
-                    ctx.stats.bump(ServeCounter::Timeouts);
-                    scope.outcome = Outcome::Timeout;
-                    Response::json(
-                        504,
-                        failure_body("timeout", "timed out on every attempt", attempt, &failures),
-                    )
-                } else {
-                    ctx.stats.bump(ServeCounter::Failed);
-                    scope.outcome = Outcome::Error;
-                    Response::json(
-                        500,
-                        failure_body("error", "retries exhausted", attempt, &failures),
-                    )
-                };
+                return exhausted(ctx, shard, probe, attempt, timed_out_only, &failures, scope);
             }
             // pure waiter: every missing cell is already in the air —
             // record whose flight is doing our work (first joined flight's
@@ -454,8 +444,7 @@ pub fn execute(
             .collect();
         let my_flights: Vec<Arc<Flight>> = claimed.iter().map(|g| g.flight()).collect();
         let sub = Submission {
-            graph: q.graph,
-            scale: q.scale,
+            input: shard.prepared(q.scale),
             reps: q.reps,
             variants: run_variants,
             budget,
@@ -463,36 +452,21 @@ pub fn execute(
             claims: claimed,
         };
         // faulted submissions run inline so an injected stall wedges this
-        // request's attempt, never the shared batch former
+        // request's attempt, never the shared executor
         let inline = match fault {
             None => ctx.batcher.submit(sub).err(),
             Some(_) => Some(sub),
         };
         if let Some(sub) = inline {
-            let plan = RunPlan {
-                variants: sub.variants,
-                graphs: vec![sub.graph],
-                scale: sub.scale,
-                reps: sub.reps,
-                verify: true,
-            };
-            crate::batch::run_claims(
-                ctx.cache,
-                ctx.stats,
-                ctx.cfg.jobs,
-                plan,
-                sub.budget,
-                sub.fault,
-                sub.claims,
-            );
+            crate::batch::run_submission(ctx.cache, ctx.stats, ctx.cfg.jobs, sub);
         }
 
         failures.clear();
         let all: Vec<Arc<Flight>> = my_flights.into_iter().chain(joined).collect();
         let mut wrong_answer = false;
         for flight in &all {
-            // batch-wait attribution: how long our claims sat in the former
-            // before a merged plan actually started running them
+            // batch-wait attribution: how long our claims sat queued for
+            // the executor before their plan actually started running
             if flight.owner() == scope.seq {
                 scope.batch_wait_us = scope.batch_wait_us.max(flight.batch_wait_us());
             }
@@ -539,23 +513,7 @@ pub fn execute(
             continue; // all Done: the top of the loop finds them cached
         }
         if attempt >= ctx.cfg.retry.max_attempts {
-            report_breaker(ctx, shard, false, probe);
-            scope.attempts = u64::from(attempt);
-            return if timed_out_only {
-                ctx.stats.bump(ServeCounter::Timeouts);
-                scope.outcome = Outcome::Timeout;
-                Response::json(
-                    504,
-                    failure_body("timeout", "timed out on every attempt", attempt, &failures),
-                )
-            } else {
-                ctx.stats.bump(ServeCounter::Failed);
-                scope.outcome = Outcome::Error;
-                Response::json(
-                    500,
-                    failure_body("error", "retries exhausted", attempt, &failures),
-                )
-            };
+            return exhausted(ctx, shard, probe, attempt, timed_out_only, &failures, scope);
         }
 
         // transient: back off (within the deadline) and go again
@@ -579,6 +537,36 @@ pub fn execute(
         200,
         result_body(q, &cells, &found, attempt == 0, false, attempt),
     )
+}
+
+/// The verdict of a request that is out of execution attempts with cells
+/// still failing: 504 when every failure was a timeout, else 500.
+fn exhausted(
+    ctx: &EngineCtx<'_>,
+    shard: &Shard,
+    probe: bool,
+    attempt: u32,
+    timed_out_only: bool,
+    failures: &[(String, String, &'static str, String)],
+    scope: &mut RequestScope,
+) -> Response {
+    report_breaker(ctx, shard, false, probe);
+    scope.attempts = u64::from(attempt);
+    if timed_out_only {
+        ctx.stats.bump(ServeCounter::Timeouts);
+        scope.outcome = Outcome::Timeout;
+        Response::json(
+            504,
+            failure_body("timeout", "timed out on every attempt", attempt, failures),
+        )
+    } else {
+        ctx.stats.bump(ServeCounter::Failed);
+        scope.outcome = Outcome::Error;
+        Response::json(
+            500,
+            failure_body("error", "retries exhausted", attempt, failures),
+        )
+    }
 }
 
 /// Looks up the cells `found` does not hold yet (`found[i]` answers
@@ -739,8 +727,9 @@ fn degraded(
     scope.outcome = Outcome::Degraded;
     let retry_secs = retry_after.as_secs().max(1);
 
-    let g = shard.graph(q.scale);
-    let oracle = catch_unwind(AssertUnwindSafe(|| oracle_summary(q.algo, &g)));
+    let oracle = catch_unwind(AssertUnwindSafe(|| {
+        oracle_summary(q.algo, &shard.prepared(q.scale).input().csr)
+    }));
     match oracle {
         Ok(summary) => {
             let body = format!(
@@ -767,7 +756,8 @@ fn degraded(
 }
 
 /// Serial-oracle answer summary: not a measurement, but the actual analytic
-/// result a degraded client can still act on.
+/// result a degraded client can still act on. `g` is a prepared input's
+/// CSR, so it is weighted.
 fn oracle_summary(algo: Algorithm, g: &Csr) -> String {
     match algo {
         Algorithm::Bfs => {
@@ -782,14 +772,6 @@ fn oracle_summary(algo: Algorithm, g: &Csr) -> String {
             format!("{{\"kind\":\"serial-bfs\",\"reached\":{reached},\"max_level\":{max}}}")
         }
         Algorithm::Sssp => {
-            // suite graphs are unweighted until a weighted algorithm asks
-            let weighted;
-            let g = if g.is_weighted() {
-                g
-            } else {
-                weighted = g.with_synthetic_weights();
-                &weighted
-            };
             let dist = serial::sssp(g, indigo_core::SOURCE);
             let reached = dist.iter().filter(|&&d| d != INF).count();
             let max = dist
@@ -996,31 +978,47 @@ mod tests {
         body
     }
 
+    /// The server state `execute` borrows, without the server.
+    struct Rig {
+        cfg: ServerConfig,
+        cache: Arc<ResultCache>,
+        stats: Arc<Stats>,
+        flights: Arc<Flights>,
+        batcher: Batcher,
+    }
+
+    impl Rig {
+        fn new() -> Rig {
+            let cfg = cfg();
+            let cache = Arc::new(ResultCache::open(None).unwrap());
+            let stats = Arc::new(Stats::new());
+            let batcher = Batcher::spawn(Arc::clone(&cache), Arc::clone(&stats), cfg.jobs).unwrap();
+            Rig {
+                cfg,
+                cache,
+                stats,
+                flights: Arc::new(Flights::new()),
+                batcher,
+            }
+        }
+
+        fn ctx(&self) -> EngineCtx<'_> {
+            EngineCtx {
+                cfg: &self.cfg,
+                cache: &self.cache,
+                stats: &self.stats,
+                flights: &self.flights,
+                batcher: &self.batcher,
+            }
+        }
+    }
+
     #[test]
     fn a_cache_hit_answers_with_the_body_the_old_path_assembled() {
         use indigo_harness::{CellOutcome, CellRecord, Measurement};
-        let cfg = cfg();
-        let cache = Arc::new(ResultCache::open(None).unwrap());
-        let stats = Arc::new(Stats::new());
-        let flights = Arc::new(Flights::new());
-        // every query below is a full cache hit, so the former stays idle
-        let batcher = Batcher::spawn(
-            crate::batch::BatchConfig {
-                max_batch: cfg.batch,
-                window: cfg.batch_window,
-            },
-            Arc::clone(&cache),
-            Arc::clone(&stats),
-            cfg.jobs,
-        )
-        .unwrap();
-        let ctx = EngineCtx {
-            cfg: &cfg,
-            cache: &cache,
-            stats: &stats,
-            flights: &flights,
-            batcher: &batcher,
-        };
+        // every query below is a full cache hit, so the executor stays idle
+        let rig = Rig::new();
+        let (ctx, cfg, cache, stats) = (rig.ctx(), &rig.cfg, &rig.cache, &rig.stats);
         let variant = "cuda-sssp-vertex-data-nodup-push-rmw-nondet-persist-block-cudaatomic";
         let targets = [
             (
@@ -1035,7 +1033,7 @@ mod tests {
             ("/sweep?algo=bfs&graph=2d-grid&limit=7".to_string(), true),
         ];
         for (i, (target, sweep)) in targets.iter().enumerate() {
-            let q = parse_query(&req(target), &cfg, *sweep).unwrap();
+            let q = parse_query(&req(target), cfg, *sweep).unwrap();
             let cells = cells_for(&q);
             assert!(cells.len() >= 2, "{target}");
             for (j, c) in cells.iter().enumerate() {
@@ -1064,9 +1062,25 @@ mod tests {
             let resp = execute(&ctx, &shard, &q, Instant::now() + q.deadline, &mut scope);
             assert_eq!(resp.status, 200, "{target}");
             assert_eq!(scope.outcome, Outcome::Cached);
-            assert_eq!(resp.body, old_result_body(&cache, &q, &cells), "{target}");
+            assert_eq!(resp.body, old_result_body(cache, &q, &cells), "{target}");
         }
         assert_eq!(stats.snapshot().cache_hits, targets.len() as u64);
+    }
+
+    #[test]
+    fn a_computing_execute_leaves_the_shards_one_resident_input_in_place() {
+        let rig = Rig::new();
+        let q = parse_query(&req("/run?algo=tc&graph=2d-grid"), &rig.cfg, false).unwrap();
+        let shard = Shard::new(q.graph, rig.cfg.breaker);
+        let before = shard.prepared(q.scale);
+        let mut scope = RequestScope::new(1, None, Instant::now());
+        let deadline_at = Instant::now() + q.deadline;
+        let resp = execute(&rig.ctx(), &shard, &q, deadline_at, &mut scope);
+        assert_eq!(resp.status, 200, "{}", resp.body);
+        assert_eq!((scope.outcome, scope.attempts), (Outcome::Ok, 1));
+        // one generation per (graph, scale): the plan ran on this instance
+        // and the next request, oracle or advisor read gets it again
+        assert!(Arc::ptr_eq(&before, &shard.prepared(q.scale)));
     }
 
     #[test]
@@ -1119,9 +1133,9 @@ mod tests {
 
     #[test]
     fn oracle_summaries_cover_every_algorithm() {
-        let g = suite_graph(SuiteGraph::Grid2d, Scale::Tiny);
+        let g = Prepared::new(SuiteGraph::Grid2d, Scale::Tiny);
         for algo in Algorithm::ALL {
-            let s = oracle_summary(algo, &g);
+            let s = oracle_summary(algo, &g.input().csr);
             assert!(s.starts_with("{\"kind\":\"serial-"), "{algo:?}: {s}");
         }
     }

@@ -4,7 +4,7 @@
 //! the whole pipeline: it carries the request's deterministic ID (client-
 //! supplied `X-Request-Id` or the server-assigned `{seq:016x}`), the
 //! arrival instant, and the per-stage durations the engine fills in as the
-//! request moves admission → flight claim/join → batch merge → execution.
+//! request moves admission → flight claim/join → executor queue → execution.
 //! After writeback the server folds the scope into a fixed-size
 //! [`ReqRecord`] and pushes it into the [`FlightRecorder`] — a lock-free
 //! [`SeqRing`] of the most recent requests, alive in every build (the
@@ -104,8 +104,8 @@ pub struct RequestScope {
     pub arrived: Instant,
     /// Admission-queue wait: arrival → a worker picked the job up, µs.
     pub queue_us: u64,
-    /// Claim submitted → merged plan started executing, µs (0 for cache
-    /// hits, pure waiters, and non-engine routes).
+    /// Claim submitted → its plan started executing (time queued for the
+    /// executor), µs (0 for cache hits, pure waiters, and non-engine routes).
     pub batch_wait_us: u64,
     /// Route entry → response body assembled, µs (includes batch wait).
     pub execute_us: u64,

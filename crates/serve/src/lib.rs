@@ -17,16 +17,17 @@
 //!
 //! and the chaos harness ([`chaos::run_chaos`]) gates it all in CI.
 //!
-//! PR 8 adds the batched, event-driven serving path (DESIGN.md §7.9):
-//! single-flight coalescing + continuous batching ([`batch`]) and an epoll
+//! PR 8 adds the coalesced, event-driven serving path (DESIGN.md §7.9):
+//! single-flight coalescing in front of one plan executor that runs on
+//! the shards' resident prepared inputs ([`batch`]) and an epoll
 //! readiness reactor with HTTP/1.1 keep-alive ([`reactor`], [`http`]). It
 //! is the only transport, so serving is Linux-only; its performance is
 //! measured by the repo's benchmark (`benchmark/README.md`).
 //!
 //! PR 9 adds request-scoped observability (DESIGN.md §7.10): every request
 //! carries a deterministic ID (echoed as `X-Request-Id`) and a per-stage
-//! latency breakdown through coalescing and batching; `/metrics` exposes
-//! the full counter/gauge/histogram surface in Prometheus text exposition
+//! latency breakdown through coalescing and the executor queue; `/metrics`
+//! exposes the full counter/gauge/histogram surface in Prometheus text exposition
 //! ([`metrics`]); and a lock-free flight recorder ([`flightrec`]) dumps
 //! the recent request tail to `FLIGHT_*.jsonl` on any 5xx.
 

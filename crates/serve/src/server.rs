@@ -9,17 +9,18 @@
 //! slot, not a parked thread. When the queue is full the reactor queues the
 //! `429` bytes on the connection's write buffer and flushes them as the
 //! socket drains — overload never blocks the acceptor. Workers pop
-//! requests, execute them through the engine (single-flight + batching,
-//! `crate::batch`), write the response with blocking I/O, and hand the
-//! still-alive connection back to the reactor. This is the only transport,
-//! and it needs epoll: serving is Linux-only ([`Server::start`] is
-//! `Unsupported` elsewhere; the rest of the workspace builds everywhere).
+//! requests, execute them through the engine (single-flight claims handed
+//! to the one executor thread, `crate::batch`), write the response with
+//! blocking I/O, and hand the still-alive connection back to the reactor.
+//! This is the only transport, and it needs epoll: serving is Linux-only
+//! ([`Server::start`] is `Unsupported` elsewhere; the rest of the
+//! workspace builds everywhere).
 //!
 //! Every worker turn is wrapped in `catch_unwind`: a panicking request
 //! burns one connection, never a worker, never the process.
 
 use crate::admission::{Admission, PushError};
-use crate::batch::{BatchConfig, Batcher, Flights};
+use crate::batch::{Batcher, Flights};
 use crate::cache::ResultCache;
 use crate::config::ServerConfig;
 use crate::engine::{self, EngineCtx, Shard};
@@ -131,15 +132,7 @@ impl Server {
         }
         let queue = Admission::new(cfg.queue);
         let workers_n = cfg.workers.max(1);
-        let batcher = Batcher::spawn(
-            BatchConfig {
-                max_batch: cfg.batch,
-                window: cfg.batch_window,
-            },
-            Arc::clone(&cache),
-            Arc::clone(&stats),
-            cfg.jobs,
-        )?;
+        let batcher = Batcher::spawn(Arc::clone(&cache), Arc::clone(&stats), cfg.jobs)?;
 
         let inner = Arc::new(Inner {
             cfg,

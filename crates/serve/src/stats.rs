@@ -13,7 +13,7 @@
 //! report live (last ~10 s) p50/p99 and SLO violation ratios next to the
 //! cumulative-since-boot histogram.
 
-use indigo_obs::hist::{bucket_floor, bucket_of, NUM_BUCKETS};
+use indigo_obs::hist::{bucket_of, percentile_floor, NUM_BUCKETS};
 use indigo_obs::{RollingHist, RollingSnapshot};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -48,9 +48,9 @@ pub enum ServeCounter {
     BadRequests,
     /// Journal appends that failed (service continued without persistence).
     JournalErrors,
-    /// Merged plans executed by the batch former.
+    /// Plans executed by the executor thread (one per submission).
     Batches,
-    /// Claimed cells resolved through batched plan executions.
+    /// Claimed cells resolved by those plans.
     BatchedCells,
     /// Requests that joined another request's in-flight cells instead of
     /// executing them (single-flight coalescing).
@@ -311,19 +311,7 @@ impl StatsSnapshot {
 
     /// Bucket-floor latency percentile in microseconds (`0.0..=100.0`).
     pub fn latency_percentile_floor(&self, p: f64) -> u64 {
-        let total: u64 = self.latency_buckets.iter().sum();
-        if total == 0 {
-            return 0;
-        }
-        let rank = ((p / 100.0) * total as f64).ceil().max(1.0) as u64;
-        let mut seen = 0;
-        for (i, &c) in self.latency_buckets.iter().enumerate() {
-            seen += c;
-            if seen >= rank {
-                return bucket_floor(i);
-            }
-        }
-        bucket_floor(NUM_BUCKETS - 1)
+        percentile_floor(&self.latency_buckets, p)
     }
 
     /// Renders the counters as a flat JSON object body.

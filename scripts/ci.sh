@@ -41,8 +41,8 @@ trap 'rm -rf "$smoke_dir"; stage_summary' EXIT
 stage "cargo fmt --check"
 cargo fmt --check
 
-stage "cargo clippy --all-targets -- -D warnings"
-cargo clippy --all-targets -- -D warnings
+stage "cargo clippy --workspace --all-targets -- -D warnings"
+cargo clippy --workspace --all-targets -- -D warnings
 
 stage "cargo test -q --workspace"
 cargo test -q --workspace

@@ -97,10 +97,6 @@ struct Cli {
     requests: usize,
     /// `serve`: run the chaos gate instead of serving in the foreground.
     chaos: bool,
-    /// `serve`: batch-former merge cap.
-    batch: usize,
-    /// `serve`: batch-former window, milliseconds.
-    batch_window_ms: u64,
 }
 
 fn parse_args(args: Vec<String>) -> Result<Cli, String> {
@@ -124,8 +120,6 @@ fn parse_args(args: Vec<String>) -> Result<Cli, String> {
         clients: 4,
         requests: 32,
         chaos: false,
-        batch: 8,
-        batch_window_ms: 1,
     };
     let mut it = args.into_iter();
     while let Some(a) = it.next() {
@@ -192,8 +186,6 @@ fn parse_args(args: Vec<String>) -> Result<Cli, String> {
             "--clients" => cli.clients = parse_num(it.next(), "--clients")?,
             "--requests" => cli.requests = parse_num(it.next(), "--requests")?,
             "--chaos" => cli.chaos = true,
-            "--batch" => cli.batch = parse_num(it.next(), "--batch")?,
-            "--batch-window-ms" => cli.batch_window_ms = parse_num(it.next(), "--batch-window-ms")?,
             "--help" | "-h" => {
                 cli.selected.clear();
                 cli.selected.push("--help".to_string());
@@ -778,8 +770,6 @@ fn cmd_serve(cli: &Cli) -> Result<i32, String> {
         },
         reps: cli.reps.clamp(1, 9),
         journal: cli.res.journal.clone(),
-        batch: cli.batch,
-        batch_window: Duration::from_millis(cli.batch_window_ms),
         flightrec_dir: Some(PathBuf::from(&cli.out_dir)),
         ..indigo_serve::ServerConfig::default()
     };
@@ -1219,7 +1209,6 @@ usage: indigo-exp <ids...> [--scale tiny|small|default|large] [--reps N]
                   [--mutate-drop-atomics]
        indigo-exp serve   [--port P] [--serve-workers N] [--queue N]
                   [--deadline-ms MS] [--journal PATH] [--scale S]
-                  [--batch N] [--batch-window-ms MS]
        indigo-exp serve --chaos [--clients N] [--requests N]
                   [--inject-fault panic|stall|corrupt@EVERY] [--out DIR]
        indigo-exp advise  --journal PATH [--out DIR]
@@ -1260,10 +1249,11 @@ with injected faults — asserts every robustness invariant, and writes
 BENCH_serve.json. In chaos mode --inject-fault's index is the storm
 stride: panic@3 faults every third storm request.
 
-Requests for the same cell coalesce into one execution (single-flight)
-and distinct queries merge into batched plans (--batch caps the merge,
---batch-window-ms the wait). Connections are keep-alive and served
-through an epoll readiness reactor, so `serve` is Linux-only.
+Requests for the same cell coalesce into one execution (single-flight);
+each query's missing cells run as one plan on a resident input (a graph
+is generated once per scale, not per request), one plan at a time.
+Connections are keep-alive and served through an epoll readiness
+reactor, so `serve` is Linux-only.
 benchmark/run.sh measures that path (workloads serve_hot, serve_cold,
 serve_mixed).
 

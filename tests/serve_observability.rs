@@ -30,16 +30,11 @@ fn body_u64(body: &str, key: &str) -> u64 {
 
 #[test]
 fn every_batched_waiter_gets_its_own_request_id_and_timing() {
-    let cfg = ServerConfig {
-        batch: 8,
-        batch_window: Duration::from_millis(5),
-        ..ServerConfig::default()
-    };
-    let server = Server::start(cfg).unwrap();
+    let server = Server::start(ServerConfig::default()).unwrap();
     let addr = server.addr();
 
-    // overlapping /run + /sweep mix so coalescing and batch merging both
-    // happen while every client carries its own ID
+    // overlapping /run + /sweep mix so requests coalesce and queue for the
+    // executor while every client carries its own ID
     let targets = [
         "/run?algo=tc&graph=2d-grid&scale=tiny",
         "/run?algo=bfs&graph=2d-grid&scale=tiny",

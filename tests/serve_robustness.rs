@@ -126,6 +126,20 @@ fn wrong_answers_are_permanent_failures_not_retried() {
     assert!(r.body.contains("wrong answer"), "{}", r.body);
     assert!(r.body.contains("\"attempts\":1"), "{}", r.body);
     assert_eq!(server.stats().retries, 0);
+
+    // verification stays live on a warm input: a clean run leaves the
+    // serial reference memoized in the shard's resident input, and a
+    // corrupted cell of the same (algo, graph) is still caught against it
+    let clean = get(addr, "/run?algo=tc&graph=soc-net&scale=tiny");
+    assert_eq!(clean.status, 200, "{}", clean.body);
+    let r = get(
+        addr,
+        "/run?algo=tc&graph=soc-net&scale=tiny&reps=2&fault=corrupt&fault_attempts=9",
+    );
+    assert_eq!(r.status, 500, "{}", r.body);
+    assert!(r.body.contains("wrong answer (quarantined)"), "{}", r.body);
+    assert!(r.body.contains("\"attempts\":1"), "{}", r.body);
+    assert_eq!(server.stats().retries, 0);
 }
 
 #[test]
@@ -267,22 +281,17 @@ fn second_server_on_the_same_journal_fails_fast() {
 }
 
 #[test]
-fn merged_batches_answer_bit_identically_to_single_submission_plans() {
+fn concurrent_clients_answer_bit_identically_to_one_sequential_client() {
     use std::collections::HashMap;
 
-    // batched server: a wide window so concurrent submissions actually
-    // merge; reference server: a merge cap of 1, so every submission runs
-    // as its own plan
-    let mut bat_cfg = chaos_cfg();
-    bat_cfg.batch = 8;
-    bat_cfg.batch_window = Duration::from_millis(5);
-    let mut un_cfg = chaos_cfg();
-    un_cfg.batch = 1;
-    let bat = Server::start(bat_cfg).unwrap();
-    let un = Server::start(un_cfg).unwrap();
+    // loaded server: four concurrent clients, so requests coalesce onto
+    // each other's flights and queue behind each other's plans on warm
+    // inputs; reference server: one client, one request at a time
+    let busy = Server::start(chaos_cfg()).unwrap();
+    let quiet = Server::start(chaos_cfg()).unwrap();
 
     // overlapping /run + /sweep mix: same cells appear in multiple queries,
-    // so coalescing and cross-query merging both get exercised
+    // so claims split across requests and later plans replan the remainder
     let targets = [
         "/run?algo=tc&graph=2d-grid&scale=tiny",
         "/run?algo=bfs&graph=2d-grid&scale=tiny",
@@ -291,10 +300,10 @@ fn merged_batches_answer_bit_identically_to_single_submission_plans() {
         "/sweep?algo=bfs&graph=rmat&scale=tiny&limit=3",
         "/run?algo=pr&graph=copapers&scale=tiny",
     ];
-    let collect = |addr: SocketAddr| -> HashMap<String, String> {
+    let collect = |addr: SocketAddr, clients: usize| -> HashMap<String, String> {
         let merged = std::sync::Mutex::new(HashMap::new());
         std::thread::scope(|s| {
-            for offset in 0..4 {
+            for offset in 0..clients {
                 let merged = &merged;
                 s.spawn(move || {
                     let mut conn = client::Client::new(addr, TIMEOUT);
@@ -314,15 +323,15 @@ fn merged_batches_answer_bit_identically_to_single_submission_plans() {
         });
         merged.into_inner().unwrap()
     };
-    let batched = collect(bat.addr());
-    let unbatched = collect(un.addr());
-    assert!(!batched.is_empty());
-    assert_eq!(batched.len(), unbatched.len(), "cell sets diverged");
-    for (fp, bits) in &batched {
+    let concurrent = collect(busy.addr(), 4);
+    let sequential = collect(quiet.addr(), 1);
+    assert!(!concurrent.is_empty());
+    assert_eq!(concurrent.len(), sequential.len(), "cell sets diverged");
+    for (fp, bits) in &concurrent {
         assert_eq!(
             Some(bits),
-            unbatched.get(fp),
-            "fp {fp}: batched and unbatched bits differ"
+            sequential.get(fp),
+            "fp {fp}: concurrent and sequential bits differ"
         );
     }
 
@@ -332,26 +341,26 @@ fn merged_batches_answer_bit_identically_to_single_submission_plans() {
     // alike, with exactly the bits the computing requests were served
     let head = |body: &str| body[..body.find(",\"rid\":").expect("rid fragment")].to_string();
     for t in targets {
-        let hit = get(bat.addr(), t);
+        let hit = get(busy.addr(), t);
         assert_eq!(hit.status, 200, "{t}: {}", hit.body);
         assert!(hit.body.contains("\"cached\":true"), "{t}: {}", hit.body);
-        assert_eq!(head(&hit.body), head(&get(un.addr(), t).body), "{t}");
+        assert_eq!(head(&hit.body), head(&get(quiet.addr(), t).body), "{t}");
         let cells = cells_of(&hit.body);
         assert!(!cells.is_empty(), "{t}: {}", hit.body);
         for (fp, bits) in cells {
             assert_eq!(
                 Some(&bits),
-                batched.get(&fp),
+                concurrent.get(&fp),
                 "{t}: fp {fp} changed on a hit"
             );
         }
     }
 
     // fault leg: a stalled claimer holds the flight while a clean
-    // short-deadline waiter coalesces onto it and expires mid-batch —
+    // short-deadline waiter coalesces onto it and expires mid-plan —
     // the waiter's 504 must not cancel the shared run, and a later clean
-    // request must still produce the single-submission bits
-    let addr = bat.addr();
+    // request must still produce the sequential server's bits
+    let addr = busy.addr();
     let stall = std::thread::spawn(move || {
         client::get(
             addr,
@@ -368,17 +377,17 @@ fn merged_batches_answer_bit_identically_to_single_submission_plans() {
     assert_eq!(waiter.status, 504, "{}", waiter.body);
     let stalled = stall.join().unwrap().expect("stalled request answered");
     assert_eq!(stalled.status, 504, "{}", stalled.body);
-    assert!(bat.stats().coalesced >= 1, "waiter never coalesced");
+    assert!(busy.stats().coalesced >= 1, "waiter never coalesced");
     let clean = get(
         addr,
         "/run?algo=mis&graph=soc-net&scale=tiny&deadline_ms=8000",
     );
     assert_eq!(clean.status, 200, "{}", clean.body);
-    let reference = get(un.addr(), "/run?algo=mis&graph=soc-net&scale=tiny");
+    let reference = get(quiet.addr(), "/run?algo=mis&graph=soc-net&scale=tiny");
     assert_eq!(
         extract(&clean.body, "\"geps_bits\":\""),
         extract(&reference.body, "\"geps_bits\":\""),
-        "post-fault bits diverged from the single-submission server"
+        "post-fault bits diverged from the sequential server"
     );
 }
 
