@@ -303,6 +303,9 @@ const SHARED_CTR_ADDR: u64 = 0x7ffe_0000_0000;
 /// long-lived [`StepTable`], and the least-loaded-SM merge runs on a
 /// [`BinaryHeap`] whose storage round-trips through [`Sim`] between
 /// launches. `tests/alloc_regression.rs` pins the zero-allocation claim.
+/// A table keeps the capacity of the deepest warp round it has priced: 70 KB
+/// of inline steps plus ~8 B per key recorded past ordinal 256, about 2 MiB
+/// per thread after the deepest rounds of the Tiny CUDA matrix.
 /// ## Supervision (DESIGN.md §7.3)
 ///
 /// A `Sim` may carry a [`CancelToken`], a simulated-cycle budget, and an
@@ -369,7 +372,9 @@ thread_local! {
     /// The calling thread's warmed [`StepTable`], handed from a dropped
     /// [`Sim`] to the next one constructed on this thread. The measurement
     /// harness builds a fresh `Sim` per cell, so without this hand-off every
-    /// cell would re-grow its scratch from empty.
+    /// cell would re-grow its scratch from empty. It is the thread's one
+    /// table for good, so a process holds one per simulating thread (each
+    /// serving executor included; see `StepTable` for its footprint).
     static CALLER_TABLE: std::cell::Cell<Option<StepTable>> =
         const { std::cell::Cell::new(None) };
 }

@@ -47,7 +47,7 @@ impl<T> Admission<T> {
     }
 
     /// Like [`Admission::new`] but without `serve.queue_depth` telemetry —
-    /// for internal queues (the plan executor's) whose depth would pollute
+    /// for internal queues (the plan executors') whose depth would pollute
     /// the request-queue histogram.
     pub fn new_unrecorded(capacity: usize) -> Admission<T> {
         Admission {

@@ -1,4 +1,4 @@
-//! Single-flight coalescing and the single plan executor (DESIGN.md §7.9).
+//! Single-flight coalescing and the plan executors (DESIGN.md §7.9).
 //!
 //! Two cooperating layers sit between the request engine and
 //! `RunPlan::run_cells_on`:
@@ -13,13 +13,15 @@
 //!   flight leaves the registry so the cell can be retried.
 //! * **Execution ([`Batcher`]).** Claimed work is a [`Submission`]: the
 //!   claimer's missing variants plus its shard's resident
-//!   [`Prepared`] input. One thread drains submissions in arrival order
-//!   and runs each as one plan through [`run_submission`]. A plan carries
-//!   no fixed cost of its own — the graph, its device copy and the serial
-//!   references it is verified against stay with the shard — so nothing is
-//!   merged and nothing waits for company. Fault-injected submissions
-//!   never enter the queue: the claimer runs them itself, through the same
-//!   function, so an injected stall wedges its own attempt only.
+//!   [`Prepared`] input. One executor thread per usable core
+//!   ([`executor_count`]) drains submissions from one queue in arrival
+//!   order and runs each as one plan through [`run_submission`]. A plan
+//!   carries no fixed cost of its own — the graph, its device copy and the
+//!   serial references it is verified against stay with the shard — so
+//!   nothing is merged and nothing waits for company. Fault-injected
+//!   submissions never enter the queue: the claimer runs them itself,
+//!   through the same function, so an injected stall wedges its own
+//!   attempt only.
 //!
 //! Coalescing is semantically invisible: answers are assembled per-request
 //! from the fingerprint cache (which is keep-first, so a cell's bits never
@@ -74,8 +76,8 @@ pub enum FlightResult {
 /// A flight also carries its request-scoped attribution (DESIGN.md §7.10):
 /// the claiming request's sequence number (so coalesced waiters can report
 /// `served_by`), when it was claimed, and when its plan actually started
-/// executing — the gap between the two, the time queued for the executor,
-/// is the batch-wait stage.
+/// executing — the gap between the two, the time queued for a free
+/// executor, is the batch-wait stage.
 pub struct Flight {
     state: Mutex<Option<FlightResult>>,
     done: Condvar,
@@ -114,7 +116,7 @@ impl Flight {
         );
     }
 
-    /// Claim → plan execution start, µs (0 while still queued for the
+    /// Claim → plan execution start, µs (0 while still queued for an
     /// executor, or if the flight resolved without executing).
     pub fn batch_wait_us(&self) -> u64 {
         let start = self.exec_start_us.load(Ordering::Relaxed);
@@ -310,28 +312,47 @@ pub struct Submission {
     pub claims: Vec<ClaimGuard>,
 }
 
-/// The single executor: one thread that drains submissions in arrival
-/// order, runs each as its own plan, and resolves the claimed flights.
-/// (The name is from when it merged submissions into batches; a batch is
-/// now one submission, which is what `/stats` `batches` counts.)
+/// How many executor threads a server with `workers` request workers
+/// runs: one per core this thread may use, and never more than `workers`.
+/// `available_parallelism` honours the calling thread's CPU affinity, so a
+/// server started on a pinned thread gets one executor per pinned CPU.
+pub(crate) fn executor_count(workers: usize) -> usize {
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    workers.clamp(1, cores)
+}
+
+/// The plan executors: threads named `serve-batcher` that drain one queue
+/// of submissions in arrival order, run each as its own plan, and resolve
+/// the claimed flights. Each executor is a simulating thread with its own
+/// warmed `StepTable`, which is why there are no more of them than cores.
+/// (The name is from when one thread merged submissions into batches; a
+/// batch is now one submission, which is what `/stats` `batches` counts.)
 pub struct Batcher {
     queue: Arc<Admission<Submission>>,
-    runner: Mutex<Option<JoinHandle<()>>>,
+    runners: Mutex<Vec<JoinHandle<()>>>,
 }
 
 impl Batcher {
-    /// Spawns the executor thread.
+    /// Spawns `executors` (at least one) executor threads.
     pub fn spawn(
         cache: Arc<ResultCache>,
         stats: Arc<Stats>,
         jobs: usize,
+        executors: usize,
     ) -> std::io::Result<Batcher> {
-        // capacity bounds claimers parked on the executor, not clients —
+        // capacity bounds claimers parked on the executors, not clients —
         // a full queue makes the claimer run inline instead
         let queue: Arc<Admission<Submission>> = Arc::new(Admission::new_unrecorded(64));
-        let runner = {
-            let queue = Arc::clone(&queue);
-            std::thread::Builder::new()
+        // built first, so a failed spawn drops it: the queue closes and the
+        // executors already started are joined
+        let mut batcher = Batcher {
+            queue,
+            runners: Mutex::new(Vec::new()),
+        };
+        for _ in 0..executors.max(1) {
+            let queue = Arc::clone(&batcher.queue);
+            let (cache, stats) = (Arc::clone(&cache), Arc::clone(&stats));
+            let runner = std::thread::Builder::new()
                 .name("serve-batcher".into())
                 .spawn(move || {
                     while let Some(sub) = queue.pop() {
@@ -340,16 +361,18 @@ impl Batcher {
                         stats.bump(ServeCounter::Batches);
                         stats.add(ServeCounter::BatchedCells, claims);
                     }
-                })?
-        };
-        Ok(Batcher {
-            queue,
-            runner: Mutex::new(Some(runner)),
-        })
+                })?;
+            batcher
+                .runners
+                .get_mut()
+                .unwrap_or_else(|e| e.into_inner())
+                .push(runner);
+        }
+        Ok(batcher)
     }
 
-    /// Queues a submission for the executor. `Err` returns it (queue full
-    /// or closed) — the caller should execute inline.
+    /// Queues a submission for the next free executor. `Err` returns it
+    /// (queue full or closed) — the caller should execute inline.
     pub fn submit(&self, sub: Submission) -> Result<(), Submission> {
         self.queue.try_push(sub).map_err(|e| match e {
             crate::admission::PushError::Full(s) => s,
@@ -357,10 +380,11 @@ impl Batcher {
         })
     }
 
-    /// Stops the executor once the queue drains and joins it.
+    /// Stops the executors once the queue drains and joins them all.
     pub fn shutdown(&self) {
         self.queue.close();
-        if let Some(h) = self.runner.lock().unwrap_or_else(|e| e.into_inner()).take() {
+        let runners = std::mem::take(&mut *self.runners.lock().unwrap_or_else(|e| e.into_inner()));
+        for h in runners {
             let _ = h.join();
         }
     }
@@ -373,7 +397,7 @@ impl Drop for Batcher {
 }
 
 /// Executes one submission as one plan and resolves its claims — the one
-/// runner behind the executor thread and the engine's inline route, so
+/// runner behind the executor threads and the engine's inline route, so
 /// both produce identical cache contents and flight outcomes.
 pub fn run_submission(cache: &ResultCache, stats: &Stats, jobs: usize, sub: Submission) {
     let Submission {
@@ -482,6 +506,27 @@ mod tests {
             })
             .collect();
         Flights::claim_or_join(this, &cells, 42)
+    }
+
+    #[test]
+    fn one_executor_per_usable_core_up_to_the_worker_count() {
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        for (workers, want) in [(1, 1), (4, cores.min(4))] {
+            let executors = executor_count(workers);
+            assert_eq!(executors, want, "workers: {workers} on {cores} cores");
+            let cache = Arc::new(ResultCache::open(None).unwrap());
+            let batcher = Batcher::spawn(cache, Arc::new(Stats::new()), 1, executors).unwrap();
+            let spawned = batcher.runners.lock().unwrap().len();
+            assert_eq!(
+                spawned, want,
+                "workers: {workers} spawned {spawned} executors"
+            );
+            batcher.shutdown();
+            assert!(
+                batcher.runners.lock().unwrap().is_empty(),
+                "shutdown joins them all"
+            );
+        }
     }
 
     #[test]

@@ -306,7 +306,7 @@ pub struct EngineCtx<'a> {
     pub stats: &'a Arc<Stats>,
     /// Single-flight registry keyed by cell fingerprint.
     pub flights: &'a Arc<Flights>,
-    /// The single plan executor.
+    /// The plan executors.
     pub batcher: &'a Batcher,
 }
 
@@ -316,8 +316,8 @@ pub struct EngineCtx<'a> {
 /// Since PR 8 execution goes through the single-flight registry: each
 /// round, the request *claims* the missing cells nobody else is computing
 /// and *joins* the flights already in the air. A round with claims runs
-/// them (on the executor thread; inline when the submission carries an
-/// injected fault or the executor's queue is full or closed); a round with
+/// them (on an executor thread; inline when the submission carries an
+/// injected fault or the executors' queue is full or closed); a round with
 /// only joins just waits. Either way the request then settles its own
 /// verdict — its 504 clock, retry budget, and breaker report are never
 /// delegated to whoever happens to execute the cells.
@@ -452,7 +452,7 @@ pub fn execute(
             claims: claimed,
         };
         // faulted submissions run inline so an injected stall wedges this
-        // request's attempt, never the shared executor
+        // request's attempt, never a shared executor
         let inline = match fault {
             None => ctx.batcher.submit(sub).err(),
             Some(_) => Some(sub),
@@ -466,7 +466,7 @@ pub fn execute(
         let mut wrong_answer = false;
         for flight in &all {
             // batch-wait attribution: how long our claims sat queued for
-            // the executor before their plan actually started running
+            // a free executor before their plan actually started running
             if flight.owner() == scope.seq {
                 scope.batch_wait_us = scope.batch_wait_us.max(flight.batch_wait_us());
             }
@@ -992,7 +992,8 @@ mod tests {
             let cfg = cfg();
             let cache = Arc::new(ResultCache::open(None).unwrap());
             let stats = Arc::new(Stats::new());
-            let batcher = Batcher::spawn(Arc::clone(&cache), Arc::clone(&stats), cfg.jobs).unwrap();
+            let batcher =
+                Batcher::spawn(Arc::clone(&cache), Arc::clone(&stats), cfg.jobs, 1).unwrap();
             Rig {
                 cfg,
                 cache,

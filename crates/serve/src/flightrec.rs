@@ -104,8 +104,8 @@ pub struct RequestScope {
     pub arrived: Instant,
     /// Admission-queue wait: arrival → a worker picked the job up, µs.
     pub queue_us: u64,
-    /// Claim submitted → its plan started executing (time queued for the
-    /// executor), µs (0 for cache hits, pure waiters, and non-engine routes).
+    /// Claim submitted → its plan started executing (time queued for a
+    /// free executor), µs (0 for cache hits, pure waiters, and non-engine routes).
     pub batch_wait_us: u64,
     /// Route entry → response body assembled, µs (includes batch wait).
     pub execute_us: u64,

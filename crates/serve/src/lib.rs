@@ -18,8 +18,8 @@
 //! and the chaos harness ([`chaos::run_chaos`]) gates it all in CI.
 //!
 //! PR 8 adds the coalesced, event-driven serving path (DESIGN.md §7.9):
-//! single-flight coalescing in front of one plan executor that runs on
-//! the shards' resident prepared inputs ([`batch`]) and an epoll
+//! single-flight coalescing in front of plan executors (one per usable
+//! core) that run on the shards' resident prepared inputs ([`batch`]) and an epoll
 //! readiness reactor with HTTP/1.1 keep-alive ([`reactor`], [`http`]). It
 //! is the only transport, so serving is Linux-only; its performance is
 //! measured by the repo's benchmark (`benchmark/README.md`).

@@ -10,8 +10,9 @@
 //! `429` bytes on the connection's write buffer and flushes them as the
 //! socket drains — overload never blocks the acceptor. Workers pop
 //! requests, execute them through the engine (single-flight claims handed
-//! to the one executor thread, `crate::batch`), write the response with
-//! blocking I/O, and hand the still-alive connection back to the reactor.
+//! to the plan executors — one per usable core, at most one per worker,
+//! `crate::batch`), write the response with blocking I/O, and hand the
+//! still-alive connection back to the reactor.
 //! This is the only transport, and it needs epoll: serving is Linux-only
 //! ([`Server::start`] is `Unsupported` elsewhere; the rest of the
 //! workspace builds everywhere).
@@ -132,7 +133,9 @@ impl Server {
         }
         let queue = Admission::new(cfg.queue);
         let workers_n = cfg.workers.max(1);
-        let batcher = Batcher::spawn(Arc::clone(&cache), Arc::clone(&stats), cfg.jobs)?;
+        // one plan executor per core this thread may run on, at most one per worker
+        let executors = crate::batch::executor_count(workers_n);
+        let batcher = Batcher::spawn(Arc::clone(&cache), Arc::clone(&stats), cfg.jobs, executors)?;
 
         let inner = Arc::new(Inner {
             cfg,

@@ -48,7 +48,7 @@ pub enum ServeCounter {
     BadRequests,
     /// Journal appends that failed (service continued without persistence).
     JournalErrors,
-    /// Plans executed by the executor thread (one per submission).
+    /// Plans executed by the executor threads (one per submission).
     Batches,
     /// Claimed cells resolved by those plans.
     BatchedCells,

@@ -11,7 +11,7 @@
 //! **Exact counts.** The same windows pin what the cost model and the
 //! tuned kernels *do*: simulated cycles, accesses, the
 //! coalesced/uncoalesced transaction split and atomic ops/conflicts for
-//! the four simulator workloads ([`SIM_COUNTS`]), and single-thread
+//! the five simulator workloads ([`SIM_COUNTS`]), and single-thread
 //! frontier/bucket traffic for the six baselines on three suite graphs
 //! ([`CPU_COUNTS`]). Comparison is `assert_eq!` against the inline
 //! tables; a mismatch prints the observed row in table syntax, so a
@@ -90,11 +90,12 @@ const WINDOW: usize = 63;
 /// atomic_ops, atomic_conflicts])` over one [`WINDOW`] on `rtx3090()`.
 /// Cycles are truncated per launch, as `Counter::SimCycles` records them.
 type SimRow = (&'static str, [u64; 6]);
-const SIM_COUNTS: [SimRow; 4] = [
+const SIM_COUNTS: [SimRow; 5] = [
     ("thread_stream", [64386, 2064384, 64512, 0, 0, 0]),
     ("warp_reduce", [67410, 2064384, 64512, 0, 0, 0]),
     ("thread_stream_pooled", [64386, 2064384, 64512, 0, 0, 0]),
     ("scatter_atomics", [83853, 258048, 0, 0, 258048, 0]),
+    ("deep_rounds", [4655448, 2546082, 14238, 2518488, 8064, 126]),
 ];
 
 /// `(kernel, [pushes, dir_switches, bucket_pushes, bucket_reinserts])` for
@@ -236,7 +237,8 @@ fn baseline_kernels(input: &GraphInput, threads: usize) -> [(&'static str, Kerne
 #[test]
 fn steady_state_launches_do_not_allocate() {
     let device = rtx3090();
-    let [thread_stream, warp_reduce, thread_stream_pooled, scatter_atomics] = &SIM_COUNTS;
+    let [thread_stream, warp_reduce, thread_stream_pooled, scatter_atomics, deep_rounds] =
+        &SIM_COUNTS;
 
     // --- serial fast path (ThreadPerItem, no reduce, no epilogue) ---
     {
@@ -298,6 +300,34 @@ fn steady_state_launches_do_not_allocate() {
                 // multiplicative hash scatters lanes across the histogram
                 let slot = (i.wrapping_mul(2654435761)) % 257;
                 ctx.atomic_add(&hist, slot, 1);
+            });
+        });
+    }
+
+    // --- divergent warp rounds deeper than the step table's inline tier ---
+    // Per-lane trip counts of 0..=600 give lanes of unequal depth, so a
+    // warp round runs hundreds of steps past ordinal 256. The atomic after
+    // each lane's loop switches class below (lane 1), at (lane 0) and above
+    // (lane 2 and most others) that ordinal, where other lanes still load.
+    {
+        const N: usize = 128;
+        const LEN: usize = 1 << 12;
+        let src = GpuBuf::new(LEN, 5);
+        let hist = GpuBuf::new(64, 0);
+        sim_window(deep_rounds, 0, Sim::new(device), |sim| {
+            sim.launch(N, Assign::ThreadPerItem, false, |ctx, i| {
+                let trip = match i % 32 {
+                    0 => 256,
+                    1 => 255,
+                    2 => 257,
+                    3 => 0,
+                    _ => (i * 19) % 601,
+                };
+                let mut acc = 0u32;
+                for k in 0..trip {
+                    acc = acc.wrapping_add(ctx.ld(&src, (i * 33 + k * 131) % LEN));
+                }
+                ctx.atomic_add(&hist, (i + acc as usize) % 64, 1);
             });
         });
     }

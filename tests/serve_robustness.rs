@@ -392,6 +392,96 @@ fn concurrent_clients_answer_bit_identically_to_one_sequential_client() {
 }
 
 #[test]
+fn concurrent_executors_journal_each_cell_once_and_replay_it_bit_exact() {
+    use std::collections::HashMap;
+    use std::sync::{Barrier, Mutex};
+
+    // the server runs one plan executor per usable core (at most one per
+    // worker); with one core there is no second executor to race
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    if cores < 2 {
+        eprintln!("skipped: {cores} usable core(s), so the server runs a single executor");
+        return;
+    }
+    let journal = tmp("executors.jsonl");
+    let _ = std::fs::remove_file(&journal);
+    let cfg = ServerConfig {
+        workers: 2,
+        journal: Some(journal.clone()),
+        ..ServerConfig::default()
+    };
+    // two clients, disjoint cold cells: every request claims its own plan
+    let lanes: [&[&str]; 2] = [
+        &[
+            "/run?algo=bfs&graph=road&scale=tiny",
+            "/run?algo=cc&graph=2d-grid&scale=tiny",
+            "/run?algo=sssp&graph=rmat&scale=tiny",
+        ],
+        &[
+            "/run?algo=mis&graph=soc-net&scale=tiny",
+            "/run?algo=pr&graph=copapers&scale=tiny",
+            "/run?algo=tc&graph=road&scale=tiny",
+        ],
+    ];
+    let computed = {
+        let server = Server::start(cfg.clone()).unwrap();
+        let addr = server.addr();
+        let start = Barrier::new(lanes.len());
+        let merged = Mutex::new(HashMap::new());
+        std::thread::scope(|s| {
+            for lane in lanes {
+                let (start, merged) = (&start, &merged);
+                s.spawn(move || {
+                    let mut conn = client::Client::new(addr, TIMEOUT);
+                    start.wait();
+                    for t in lane {
+                        let r = conn.get(t).expect("request must be answered");
+                        assert_eq!(r.status, 200, "{t}: {}", r.body);
+                        assert!(r.body.contains("\"cached\":false"), "{t}: {}", r.body);
+                        for (fp, bits) in cells_of(&r.body) {
+                            let prev = merged.lock().unwrap().insert(fp.clone(), bits);
+                            assert!(prev.is_none(), "{t}: fp {fp} computed twice");
+                        }
+                    }
+                });
+            }
+        });
+        merged.into_inner().unwrap()
+        // server drops here: its executors are joined before the journal
+        // is read
+    };
+    assert!(computed.len() >= 2 * lanes.len(), "{computed:?}");
+
+    // each computed cell is exactly one whole journal line
+    let text = std::fs::read_to_string(&journal).unwrap();
+    let lines = text.lines().filter(|l| !l.trim().is_empty()).count();
+    assert_eq!(lines, computed.len(), "journal:\n{text}");
+    let (entries, skipped) = indigo_harness::journal::load(&journal).unwrap();
+    assert_eq!(skipped, 0, "torn journal line:\n{text}");
+    for (fp, bits) in &computed {
+        let entry = &entries[&u64::from_str_radix(fp, 16).unwrap()];
+        assert!(
+            matches!(entry.outcome, indigo_harness::journal::JournalOutcome::Ok { geps_bits, .. }
+                if format!("{geps_bits:016x}") == *bits),
+            "fp {fp}: journaled {:?}, served {bits}",
+            entry.outcome
+        );
+    }
+
+    // a restarted server recovers all of them and serves the same bits
+    let server = Server::start(cfg).unwrap();
+    assert_eq!(server.recovered_cells(), computed.len());
+    for (fp, bits) in &computed {
+        let r = get(server.addr(), &format!("/cell?fp={fp}"));
+        assert_eq!(r.status, 200, "{}", r.body);
+        assert!(r.body.contains("\"cached\":true"), "{}", r.body);
+        assert_eq!(extract(&r.body, "\"geps_bits\":\""), *bits, "fp {fp}");
+    }
+    drop(server);
+    let _ = std::fs::remove_file(&journal);
+}
+
+#[test]
 fn pipelined_keep_alive_requests_answer_in_order() {
     use std::io::{Read, Write};
 
