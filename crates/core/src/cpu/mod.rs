@@ -8,7 +8,6 @@
 pub mod mis;
 pub mod pr;
 pub mod relax;
-pub mod relax64;
 pub mod tc;
 
 use indigo_cancel::CancelToken;

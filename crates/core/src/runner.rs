@@ -10,7 +10,7 @@ use crate::cpu::{self, relax::RelaxKind, CpuExec};
 use crate::gpu::{self, DeviceGraph};
 use crate::{GraphInput, Output, SOURCE};
 use indigo_cancel::CancelToken;
-use indigo_gpusim::{Device, FaultPlan, Sim};
+use indigo_gpusim::{Device, FaultPlan, Sim, MAX_DEVICES};
 use indigo_styles::{Algorithm, StyleConfig};
 
 /// Everything the fault-tolerant harness threads into one variant run:
@@ -91,6 +91,19 @@ pub struct RunResult {
     pub sim: Option<SimStats>,
 }
 
+/// One execution of a CUDA-model variant priced on several devices (see
+/// [`run_gpu_shared`]).
+pub struct SharedRun {
+    /// Algorithm output, the same on every device.
+    pub output: Output,
+    /// Parallel iterations/rounds the variant took to converge.
+    pub iterations: usize,
+    /// Per device, in the order given: its simulated seconds and
+    /// statistics, or `None` where the device stopped being priced and
+    /// needs a run of its own. The first device is always priced.
+    pub priced: [Option<(f64, SimStats)>; MAX_DEVICES],
+}
+
 impl RunResult {
     /// The paper's §4.5 metric: giga-edges per second.
     pub fn gigaedges_per_sec(&self, num_edges: usize) -> f64 {
@@ -148,7 +161,7 @@ pub fn run_gpu_with(
 /// [`run_gpu_with`] under harness supervision (see [`Supervision`]).
 /// Without supervision knobs set this is identical to the plain entry
 /// points — supervision never perturbs simulated cycles, only whether the
-/// run is allowed to finish.
+/// run is allowed to finish. The one-device case of [`run_gpu_shared`].
 pub fn run_gpu_supervised(
     cfg: &StyleConfig,
     dg: &DeviceGraph,
@@ -156,8 +169,31 @@ pub fn run_gpu_supervised(
     sim_workers: usize,
     sup: &Supervision,
 ) -> RunResult {
+    let run = run_gpu_shared(cfg, dg, &[device], sim_workers, sup);
+    let (secs, stats) = run.priced[0].expect("the primary device is always priced");
+    RunResult {
+        output: run.output,
+        secs,
+        iterations: run.iterations,
+        sim: Some(stats),
+    }
+}
+
+/// Executes `cfg` once and prices it on every one of `devices` (at most
+/// [`MAX_DEVICES`]; see [`Sim::for_devices`]). `devices[0]` is the primary:
+/// its price, and the whole run, are exactly what a one-device run on it
+/// gives, and supervision (budget, token, fault) unwinds on it alone. A
+/// secondary device's price is exactly its own one-device run's, or `None`
+/// where the `Sim` stopped pricing it.
+pub fn run_gpu_shared(
+    cfg: &StyleConfig,
+    dg: &DeviceGraph,
+    devices: &[Device],
+    sim_workers: usize,
+    sup: &Supervision,
+) -> SharedRun {
     assert!(!cfg.model.is_cpu(), "run_gpu needs a CUDA-model variant");
-    let mut sim = Sim::new(device);
+    let mut sim = Sim::for_devices(devices);
     sim.set_workers(sim_workers);
     if let Some(token) = &sup.cancel {
         sim.set_cancel(token.clone());
@@ -194,15 +230,19 @@ pub fn run_gpu_supervised(
             (Output::Triangles(c), i)
         }
     };
-    RunResult {
-        output,
-        secs: sim.elapsed_secs(),
-        iterations,
-        sim: Some(SimStats {
-            cycles: sim.elapsed_cycles(),
+    let priced = std::array::from_fn(|i| {
+        let cycles = sim.cycles_on(i)?;
+        let stats = SimStats {
+            cycles,
             launches: sim.launches(),
             accesses: sim.accesses(),
-        }),
+        };
+        Some((devices[i].cycles_to_secs(cycles), stats))
+    });
+    SharedRun {
+        output,
+        iterations,
+        priced,
     }
 }
 

@@ -15,6 +15,7 @@
 //! warp-mates still creates (and prices) those extra steps.
 
 use crate::device::CostModel;
+use crate::MAX_DEVICES;
 
 /// What kind of machine step an ordinal slot holds.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -172,11 +173,14 @@ struct Tally {
     shared_atomics: u64,
 }
 
-/// Cycles of one non-empty step of `class` that recorded `total` accesses,
-/// `keys` being the ones it kept (all of them unless a step overflowed its
-/// 32 slots, which only a debug assertion stops).
+/// The device-independent half of pricing one non-empty step of `class`
+/// that recorded `total` accesses, `keys` being the ones it kept (all of
+/// them unless a step overflowed its 32 slots, which only a debug
+/// assertion stops): the distinct keys, or for shared atomics the highest
+/// same-address multiplicity. The tally counts the step once, however
+/// many devices [`charge`] then prices it for.
 #[inline]
-fn price(c: &CostModel, class: AccessClass, total: usize, keys: &[u64], t: &mut Tally) -> f64 {
+fn measure(class: AccessClass, total: usize, keys: &[u64], t: &mut Tally) -> usize {
     match class {
         AccessClass::Mem | AccessClass::CudaLdSt => {
             let d = distinct_keys(keys);
@@ -185,7 +189,29 @@ fn price(c: &CostModel, class: AccessClass, total: usize, keys: &[u64], t: &mut 
             } else {
                 t.uncoalesced += d as u64;
             }
-            let cycles = c.issue + d as f64 * c.mem_segment;
+            d
+        }
+        AccessClass::AtomicRmw | AccessClass::CudaAtomicRmw => {
+            let d = distinct_keys(keys);
+            t.atomic_ops += total as u64;
+            t.atomic_conflicts += (total - d) as u64;
+            d
+        }
+        AccessClass::SharedAtomic => {
+            let m = max_multiplicity(keys);
+            t.shared_atomics += total as u64;
+            t.atomic_conflicts += (m - 1) as u64;
+            m
+        }
+    }
+}
+
+/// Cycles one device charges for a step [`measure`] reduced to `width`.
+#[inline]
+fn charge(c: &CostModel, class: AccessClass, total: usize, width: usize) -> f64 {
+    match class {
+        AccessClass::Mem | AccessClass::CudaLdSt => {
+            let cycles = c.issue + width as f64 * c.mem_segment;
             if class == AccessClass::CudaLdSt {
                 cycles * c.cuda_ldst_mult
             } else {
@@ -193,24 +219,33 @@ fn price(c: &CostModel, class: AccessClass, total: usize, keys: &[u64], t: &mut 
             }
         }
         AccessClass::AtomicRmw | AccessClass::CudaAtomicRmw => {
-            let d = distinct_keys(keys);
-            t.atomic_ops += total as u64;
-            t.atomic_conflicts += (total - d) as u64;
             let cycles = c.atomic_issue
-                + d as f64 * c.atomic_per_addr
-                + (total - d) as f64 * c.atomic_aggregate;
+                + width as f64 * c.atomic_per_addr
+                + (total - width) as f64 * c.atomic_aggregate;
             if class == AccessClass::CudaAtomicRmw {
                 cycles * c.cuda_atomic_mult
             } else {
                 cycles
             }
         }
-        AccessClass::SharedAtomic => {
-            let m = max_multiplicity(keys);
-            t.shared_atomics += total as u64;
-            t.atomic_conflicts += (m - 1) as u64;
-            c.issue + m as f64 * c.shared_serial
-        }
+        AccessClass::SharedAtomic => c.issue + width as f64 * c.shared_serial,
+    }
+}
+
+/// Measures one step once and adds its price to every device's running
+/// sum; `cycles[i]` belongs to `costs[i]`.
+#[inline]
+fn price_each(
+    costs: &[CostModel],
+    class: AccessClass,
+    total: usize,
+    keys: &[u64],
+    t: &mut Tally,
+    cycles: &mut [f64; MAX_DEVICES],
+) {
+    let width = measure(class, total, keys, t);
+    for (c, sum) in costs.iter().zip(cycles.iter_mut()) {
+        *sum += charge(c, class, total, width);
     }
 }
 
@@ -420,20 +455,23 @@ impl StepTable {
         self.used
     }
 
-    /// Prices the round and returns warp cycles. Deduplication of each
-    /// step's keys happens here, once per step, instead of on the
-    /// per-access record path (see [`Step`]).
-    pub fn finalize(&self, c: &CostModel) -> f64 {
-        let mut cycles = 0.0;
+    /// Prices the round for each of `costs` (at most [`MAX_DEVICES`]) and
+    /// returns the warp cycles, `[i]` for `costs[i]` and zero past them.
+    /// Deduplication of each step's keys happens here, once per step and
+    /// not once per device or per access (see [`Step`]). Every device's
+    /// sum runs in step order, so its bits equal a one-device call's.
+    pub fn finalize(&self, costs: &[CostModel]) -> [f64; MAX_DEVICES] {
+        debug_assert!(costs.len() <= MAX_DEVICES);
+        let mut cycles = [0.0; MAX_DEVICES];
         let mut t = Tally::default();
         for step in &self.steps[..self.used.min(SHALLOW_STEPS)] {
             if step.total > 0 {
                 let keys = &step.keys[..step.total.min(MAX_LANES)];
-                cycles += price(c, step.class, step.total, keys, &mut t);
+                price_each(costs, step.class, step.total, keys, &mut t, &mut cycles);
             }
         }
         if self.used > SHALLOW_STEPS {
-            self.finalize_deep(c, &mut cycles, &mut t);
+            self.finalize_deep(costs, &mut cycles, &mut t);
         }
         if indigo_obs::enabled() {
             use indigo_obs::Counter;
@@ -447,11 +485,11 @@ impl StepTable {
     }
 
     /// Prices the deep tier in step order, adding into `cycles` (the same
-    /// running sum as the shallow steps, so the total rounds identically).
+    /// running sums as the shallow steps, so the totals round identically).
     /// Each block of [`GATHER_BLOCK`] steps is gathered in record order —
     /// a divergence step's side key opened it, then the runs in order —
     /// which is exactly the key sequence a 32-slot step would have held.
-    fn finalize_deep(&self, c: &CostModel, cycles: &mut f64, t: &mut Tally) {
+    fn finalize_deep(&self, costs: &[CostModel], cycles: &mut [f64; MAX_DEVICES], t: &mut Tally) {
         let mut block = [[0u64; MAX_LANES]; GATHER_BLOCK];
         let mut side = self.side.iter().peekable();
         let mut gathered = 0usize;
@@ -483,7 +521,7 @@ impl StepTable {
                 gathered += fill[j];
                 if total > 0 {
                     let keys = &block[j][..total.min(MAX_LANES)];
-                    *cycles += price(c, head.class, total, keys, t);
+                    price_each(costs, head.class, total, keys, t, cycles);
                 }
             }
             base = end;
@@ -512,7 +550,7 @@ mod tests {
             t.record(0, AccessClass::Mem, lane * 4); // consecutive u32s
         }
         let c = costs();
-        assert_eq!(t.finalize(&c), c.issue + c.mem_segment);
+        assert_eq!(t.priced(&c), c.issue + c.mem_segment);
     }
 
     #[test]
@@ -522,7 +560,7 @@ mod tests {
             t.record(0, AccessClass::Mem, lane * 4096); // all different segments
         }
         let c = costs();
-        assert_eq!(t.finalize(&c), c.issue + 32.0 * c.mem_segment);
+        assert_eq!(t.priced(&c), c.issue + 32.0 * c.mem_segment);
     }
 
     #[test]
@@ -534,9 +572,9 @@ mod tests {
             same.record(0, AccessClass::AtomicRmw, 0);
             scattered.record(0, AccessClass::AtomicRmw, lane * 4096);
         }
-        assert!(same.finalize(&c) < scattered.finalize(&c));
+        assert!(same.priced(&c) < scattered.priced(&c));
         assert_eq!(
-            same.finalize(&c),
+            same.priced(&c),
             c.atomic_issue + c.atomic_per_addr + 31.0 * c.atomic_aggregate
         );
     }
@@ -548,7 +586,7 @@ mod tests {
         let mut cuda = StepTable::new();
         classic.record(0, AccessClass::AtomicRmw, 128);
         cuda.record(0, AccessClass::CudaAtomicRmw, 128);
-        let ratio = cuda.finalize(&c) / classic.finalize(&c);
+        let ratio = cuda.priced(&c) / classic.priced(&c);
         assert!((ratio - c.cuda_atomic_mult).abs() < 1e-9);
     }
 
@@ -561,8 +599,8 @@ mod tests {
             same.record(0, AccessClass::SharedAtomic, 0);
             spread.record(0, AccessClass::SharedAtomic, lane * 8);
         }
-        assert_eq!(same.finalize(&c), c.issue + 32.0 * c.shared_serial);
-        assert_eq!(spread.finalize(&c), c.issue + c.shared_serial);
+        assert_eq!(same.priced(&c), c.issue + 32.0 * c.shared_serial);
+        assert_eq!(spread.priced(&c), c.issue + c.shared_serial);
     }
 
     #[test]
@@ -577,7 +615,7 @@ mod tests {
             t.record(0, AccessClass::Mem, lane * 4);
         }
         assert_eq!(t.steps_used(), 10);
-        assert!(t.finalize(&c) >= 10.0 * c.issue);
+        assert!(t.priced(&c) >= 10.0 * c.issue);
     }
 
     #[test]
@@ -586,7 +624,7 @@ mod tests {
         t.record(0, AccessClass::Mem, 0);
         t.clear();
         assert_eq!(t.steps_used(), 0);
-        assert_eq!(t.finalize(&costs()), 0.0);
+        assert_eq!(t.priced(&costs()), 0.0);
     }
 
     #[test]
@@ -610,6 +648,11 @@ mod tests {
     }
 
     impl StepTable {
+        /// The round's cycles on one device.
+        fn priced(&self, c: &CostModel) -> f64 {
+            self.finalize(std::slice::from_ref(c))[0]
+        }
+
         /// Bytes of capacity the table keeps across [`StepTable::clear`].
         fn retained_bytes(&self) -> usize {
             use std::mem::size_of;
@@ -676,7 +719,8 @@ mod tests {
             let mut cycles = 0.0;
             for step in &self.steps[..self.used] {
                 if step.total > 0 {
-                    cycles += price(c, step.class, step.total, &step.keys[..step.total], &mut t);
+                    let width = measure(step.class, step.total, &step.keys[..step.total], &mut t);
+                    cycles += charge(c, step.class, step.total, width);
                 }
             }
             cycles
@@ -764,6 +808,7 @@ mod tests {
     #[test]
     fn deep_tier_prices_random_rounds_like_the_flat_table() {
         let c = costs();
+        let both_devices = [c, crate::device::rtx3090().cost];
         for seed in 0..6u64 {
             let mut rng = Rng(seed);
             let mut t = StepTable::new();
@@ -774,11 +819,15 @@ mod tests {
                 random_round(&mut rng, &mut t, &mut flat);
                 assert_eq!(t.steps_used(), flat.used, "seed {seed} round {round}");
                 assert_eq!(
-                    t.finalize(&c).to_bits(),
+                    t.priced(&c).to_bits(),
                     flat.finalize(&c).to_bits(),
                     "seed {seed} round {round}: {} steps",
                     flat.used
                 );
+                // one call for two devices: each sum is its solo call's bits
+                let shared = t.finalize(&both_devices).map(f64::to_bits);
+                let solo = both_devices.map(|d| t.priced(&d).to_bits());
+                assert_eq!(shared, solo, "seed {seed} round {round}");
             }
         }
     }
@@ -804,7 +853,7 @@ mod tests {
                 );
             }
         }
-        assert_eq!(t.finalize(&c).to_bits(), flat.finalize(&c).to_bits());
+        assert_eq!(t.priced(&c).to_bits(), flat.finalize(&c).to_bits());
         t.clear();
         flat.clear();
         for lane in 0..32u64 {
@@ -819,7 +868,7 @@ mod tests {
             }
         }
         assert_eq!(t.steps_used(), 4);
-        assert_eq!(t.finalize(&c).to_bits(), flat.finalize(&c).to_bits());
+        assert_eq!(t.priced(&c).to_bits(), flat.finalize(&c).to_bits());
     }
 
     #[test]
@@ -843,7 +892,7 @@ mod tests {
             }
         }
         assert_eq!((t.steps_used() as u64, t.recorded()), (STEPS, KEYS));
-        assert_eq!(t.finalize(&c).to_bits(), flat.finalize(&c).to_bits());
+        assert_eq!(t.priced(&c).to_bits(), flat.finalize(&c).to_bits());
         let (deep, flat_bytes) = (t.retained_bytes(), flat.retained_bytes());
         assert!(
             deep <= 5 << 19,

@@ -18,10 +18,10 @@
 
 use crate::buffer::{BufKind, GpuBuf, GpuBufF32};
 use crate::cost::{AccessClass, StepTable};
-use crate::device::Device;
+use crate::device::{CostModel, Device};
 use crate::fault::FaultPlan;
 use crate::pool::{self, SimPool};
-use crate::WARP_SIZE;
+use crate::{MAX_DEVICES, WARP_SIZE};
 use indigo_cancel::CancelToken;
 use std::collections::BinaryHeap;
 use std::sync::atomic::Ordering;
@@ -276,10 +276,36 @@ const GLOBAL_CTR_ADDR: u64 = 0x7fff_0000_0000;
 /// Synthetic shared-memory address of the per-block counter.
 const SHARED_CTR_ADDR: u64 = 0x7ffe_0000_0000;
 
-/// A simulated GPU with an accumulating cycle clock.
+/// A simulated GPU with an accumulating cycle clock — or several GPUs
+/// priced from one execution.
 ///
-/// One `Sim` spans one algorithm run: every launch adds its simulated
-/// cycles; [`Sim::elapsed_secs`] converts to seconds at the device clock.
+/// One `Sim` spans one algorithm run, executed once and priced for each of
+/// a small fixed set of devices ([`Sim::for_devices`]; [`Sim::new`] is the
+/// one-device case of the same code). Every launch adds its simulated
+/// cycles to each priced device's clock; [`Sim::elapsed_secs`] converts the
+/// first (*primary*) device's clock to seconds, [`Sim::cycles_on`] reads
+/// any device's.
+///
+/// ## One execution, many devices
+///
+/// Kernels never read the device, and the devices must agree on
+/// `block_dim` and `resident_blocks_per_sm` (asserted), so a launch maps
+/// items to blocks, warps and lanes identically on every device — with
+/// one exception: a persistent launch sizes its grid from `sm_count`.
+/// Each warp round's steps are deduplicated once and charged per device;
+/// each device keeps its own block cycles, longest warp, SM heap and
+/// critical path, so every device's clock carries the bits of its solo
+/// run. The primary device always finishes exactly as it would alone. A
+/// secondary device stops being priced — [`Sim::cycles_on`] turns `None`
+/// and stays so — when
+///
+/// * a persistent launch's grid would map items differently on it than
+///   on the primary (more items than the smaller grid covers in one
+///   round), or
+/// * its own clock exceeds the cycle budget at a launch boundary, where
+///   its solo run would have unwound.
+///
+/// The caller then runs that device alone to get its record.
 ///
 /// ## Multi-threaded simulation
 ///
@@ -317,8 +343,12 @@ const SHARED_CTR_ADDR: u64 = 0x7ffe_0000_0000;
 /// which the harness records as `TimedOut`; an injected panic unwinds with
 /// a plain message, recorded as `Crashed`.
 pub struct Sim {
-    device: Device,
-    cycles: f64,
+    /// `devices[..count]` are priced; `devices[0]` is the primary.
+    devices: [Device; MAX_DEVICES],
+    count: usize,
+    /// Each device's clock while it is priced; `None` past `count` and for
+    /// a secondary that stopped being priced.
+    clocks: [Option<f64>; MAX_DEVICES],
     launches: usize,
     accesses: u64,
     workers: usize,
@@ -338,7 +368,10 @@ type NoEpilogue = fn(&mut LaneCtx, usize);
 
 /// Geometry and pricing context shared by every block of one launch.
 struct LaunchShape<'s> {
-    device: Device,
+    /// Cost models of the devices priced this launch, primary first:
+    /// `costs[..priced]`.
+    costs: [CostModel; MAX_DEVICES],
+    priced: usize,
     items: usize,
     assign: Assign,
     persistent: bool,
@@ -354,14 +387,15 @@ struct LaunchShape<'s> {
 }
 
 /// Everything one simulated block contributes to the launch: its cycle
-/// cost, critical-path warp, reduction partials, access count, and whether
-/// it did any work at all. Private to each simulating thread until the
-/// block-ordered merge. `Copy` so pooled workers can publish outcomes into
-/// plain arena slots.
+/// cost and critical-path warp (per priced device, in [`LaunchShape`]
+/// order), reduction partials, access count, and whether it did any work
+/// at all. Private to each simulating thread until the block-ordered
+/// merge. `Copy` so pooled workers can publish outcomes into plain arena
+/// slots.
 #[derive(Clone, Copy, Debug, Default)]
 struct BlockOutcome {
-    cycles: f64,
-    longest_warp: f64,
+    cycles: [f64; MAX_DEVICES],
+    longest_warp: [f64; MAX_DEVICES],
     sum_u64: u64,
     sum_f32: f32,
     accesses: u64,
@@ -386,11 +420,13 @@ struct SimScratch {
     /// Block-simulation scratch for the calling thread (the pool's workers
     /// each own their own long-lived table).
     table: StepTable,
-    /// Per-SM critical-path warp cycles, reset per launch.
-    sm_crit: Vec<f64>,
-    /// Backing storage for the SM merge heap; round-trips through
-    /// `BinaryHeap::from` / `into_vec` so its capacity is never dropped.
-    heap: Vec<SmSlot>,
+    /// Per priced device: per-SM critical-path warp cycles, reset per
+    /// launch.
+    sm_crit: [Vec<f64>; MAX_DEVICES],
+    /// Per priced device: backing storage for the SM merge heap;
+    /// round-trips through `BinaryHeap::from` / `into_vec` so its capacity
+    /// is never dropped.
+    heap: [Vec<SmSlot>; MAX_DEVICES],
     /// Index-addressed block outcome slots for pooled launches.
     arena: Vec<BlockOutcome>,
 }
@@ -453,15 +489,46 @@ impl SlotPtr {
 }
 
 impl Sim {
-    /// New simulator clocked at zero, single-threaded.
+    /// New one-device simulator clocked at zero, single-threaded.
     pub fn new(device: Device) -> Self {
+        Sim::for_devices(&[device])
+    }
+
+    /// New simulator that executes once and prices every launch for each
+    /// of `devices`, `devices[0]` being the primary (see the type docs).
+    ///
+    /// # Panics
+    ///
+    /// Unless there are 1 to [`MAX_DEVICES`] devices, agreeing on
+    /// `block_dim` and `resident_blocks_per_sm`.
+    pub fn for_devices(devices: &[Device]) -> Self {
+        let count = devices.len();
+        assert!(
+            (1..=MAX_DEVICES).contains(&count),
+            "a Sim prices 1 to {MAX_DEVICES} devices, not {count}"
+        );
+        let primary = devices[0];
+        for d in devices {
+            assert!(
+                (d.block_dim, d.resident_blocks_per_sm)
+                    == (primary.block_dim, primary.resident_blocks_per_sm),
+                "{} and {} disagree on block_dim or resident_blocks_per_sm",
+                primary.name,
+                d.name
+            );
+        }
+        let mut all = [primary; MAX_DEVICES];
+        all[..count].copy_from_slice(devices);
+        let mut clocks = [None; MAX_DEVICES];
+        clocks[..count].fill(Some(0.0));
         let scratch = SimScratch {
             table: CALLER_TABLE.with(std::cell::Cell::take).unwrap_or_default(),
             ..SimScratch::default()
         };
         Sim {
-            device,
-            cycles: 0.0,
+            devices: all,
+            count,
+            clocks,
             launches: 0,
             accesses: 0,
             workers: 1,
@@ -499,17 +566,24 @@ impl Sim {
     }
 
     /// Polls token, cycle budget, and armed fault; called at every launch
-    /// boundary. Unwinds instead of returning when any of them trips.
-    fn supervise(&self) {
+    /// boundary. Unwinds instead of returning when any of them trips on the
+    /// primary device; a secondary past the budget stops being priced.
+    fn supervise(&mut self) {
         if let Some(token) = &self.cancel {
             token.checkpoint();
         }
         if let Some(budget) = self.cycle_budget {
-            if self.cycles > budget {
+            for clock in &mut self.clocks[1..] {
+                if clock.is_some_and(|c| c > budget) {
+                    *clock = None;
+                }
+            }
+            let cycles = self.elapsed_cycles();
+            if cycles > budget {
                 let reason = format!(
                     "simulated-cycle budget of {budget:.0} cycles exceeded at launch {} \
-                     ({:.0} cycles elapsed)",
-                    self.launches, self.cycles
+                     ({cycles:.0} cycles elapsed)",
+                    self.launches
                 );
                 if let Some(token) = &self.cancel {
                     token.fire(reason);
@@ -528,19 +602,30 @@ impl Sim {
         self.workers
     }
 
-    /// The device being simulated.
+    /// The primary device.
     pub fn device(&self) -> &Device {
-        &self.device
+        &self.devices[0]
     }
 
-    /// Total simulated cycles so far.
+    /// Every device this `Sim` was built for, primary first.
+    pub fn devices(&self) -> &[Device] {
+        &self.devices[..self.count]
+    }
+
+    /// Total simulated cycles so far on the primary device.
     pub fn elapsed_cycles(&self) -> f64 {
-        self.cycles
+        self.clocks[0].expect("the primary device is always priced")
     }
 
-    /// Total simulated seconds so far.
+    /// Total simulated seconds so far on the primary device.
     pub fn elapsed_secs(&self) -> f64 {
-        self.device.cycles_to_secs(self.cycles)
+        self.devices[0].cycles_to_secs(self.elapsed_cycles())
+    }
+
+    /// Total simulated cycles so far on `devices()[i]`, or `None` once it
+    /// stopped being priced (or past the device count).
+    pub fn cycles_on(&self, i: usize) -> Option<f64> {
+        self.clocks.get(i).copied().flatten()
     }
 
     /// Number of kernel launches so far.
@@ -555,10 +640,12 @@ impl Sim {
         self.accesses
     }
 
-    /// Resets the clock and access counter (e.g. to exclude initialization
-    /// from timing).
+    /// Resets the clocks and access counter (e.g. to exclude initialization
+    /// from timing). A secondary that stopped being priced stays unpriced.
     pub fn reset_clock(&mut self) {
-        self.cycles = 0.0;
+        for clock in self.clocks.iter_mut().flatten() {
+            *clock = 0.0;
+        }
         self.launches = 0;
         self.accesses = 0;
     }
@@ -778,21 +865,43 @@ impl Sim {
         E: Fn(&mut LaneCtx, usize) + Sync,
     {
         self.supervise();
-        let d = self.device;
-        let block_dim = d.block_dim;
+        let primary = self.devices[0];
+        let block_dim = primary.block_dim;
         let lanes_per_item = match assign {
             Assign::ThreadPerItem => 1,
             Assign::WarpPerItem => WARP_SIZE,
             Assign::BlockPerItem => block_dim,
         };
         let items_per_block = block_dim / lanes_per_item;
-        let grid_blocks = if persistent {
-            (d.sm_count * d.resident_blocks_per_sm).max(1)
-        } else {
-            items.div_ceil(items_per_block).max(1)
+        let grid_of = |d: &Device| {
+            if persistent {
+                (d.sm_count * d.resident_blocks_per_sm).max(1)
+            } else {
+                items.div_ceil(items_per_block).max(1)
+            }
         };
+        let grid_blocks = grid_of(&primary);
+        // A device whose persistent grid differs from the primary's maps the
+        // same items alike only while one round of the smaller grid covers
+        // them all (the larger grid's extra blocks then stay empty).
+        for i in 1..self.count {
+            let grid = grid_of(&self.devices[i]);
+            if grid != grid_blocks && items > grid.min(grid_blocks) * items_per_block {
+                self.clocks[i] = None;
+            }
+        }
+        // the devices priced this launch, compacted, primary first
+        let mut live = [0usize; MAX_DEVICES];
+        let mut costs = [primary.cost; MAX_DEVICES];
+        let mut priced = 0;
+        for i in (0..self.count).filter(|&i| self.clocks[i].is_some()) {
+            live[priced] = i;
+            costs[priced] = self.devices[i].cost;
+            priced += 1;
+        }
         let shape = LaunchShape {
-            device: d,
+            costs,
+            priced,
             items,
             assign,
             persistent,
@@ -804,22 +913,31 @@ impl Sim {
             cancel: self.cancel.as_ref(),
         };
 
-        // Reusable merge state: the SM heap starts with every SM at zero
-        // work (heapified in place over the retained storage) and sm_crit is
-        // zeroed within capacity.
+        // Reusable merge state, one per priced device: the SM heap starts
+        // with every SM at zero work (heapified in place over the retained
+        // storage) and sm_crit is zeroed within capacity.
         let scratch = &mut self.scratch;
-        let mut store = std::mem::take(&mut scratch.heap);
-        store.clear();
-        store.extend((0..d.sm_count).map(|sm| SmSlot { work: 0.0, sm }));
+        let devices = &self.devices;
         let mut merge = Merge {
-            heap: BinaryHeap::from(store),
+            heap: std::array::from_fn(|k| {
+                let mut store = std::mem::take(&mut scratch.heap[k]);
+                store.clear();
+                if k < priced {
+                    let sm_count = devices[live[k]].sm_count;
+                    store.extend((0..sm_count).map(|sm| SmSlot { work: 0.0, sm }));
+                }
+                BinaryHeap::from(store)
+            }),
             sm_crit: &mut scratch.sm_crit,
+            priced,
             total_u64: 0,
             total_f32: 0.0,
             accesses: 0,
         };
-        merge.sm_crit.clear();
-        merge.sm_crit.resize(d.sm_count, 0.0);
+        for k in 0..priced {
+            merge.sm_crit[k].clear();
+            merge.sm_crit[k].resize(devices[live[k]].sm_count, 0.0);
+        }
 
         // Blocks are mutually independent simulations; the only cross-block
         // state is the block-ordered merge, which always runs serially in
@@ -844,10 +962,11 @@ impl Sim {
             scratch.arena.clear();
             scratch.arena.resize(grid_blocks, BlockOutcome::default());
             let slots = SlotPtr(scratch.arena.as_mut_ptr());
+            let shape = &shape;
             team.run_job(
                 grid_blocks,
                 &move |b, table| {
-                    let out = run_block(&shape, b, kernel, epilogue, table);
+                    let out = run_block(shape, b, kernel, epilogue, table);
                     // Safety: see `SlotPtr` — one writer per index, arena
                     // outlives the job.
                     unsafe { slots.publish(b, out) };
@@ -866,33 +985,19 @@ impl Sim {
             }
         }
 
-        let kernel_time = merge
-            .heap
-            .iter()
-            .map(|s| (s.work / d.warp_parallelism).max(merge.sm_crit[s.sm]))
-            .fold(0.0f64, f64::max);
         let (total_u64, total_f32, accesses) = (merge.total_u64, merge.total_f32, merge.accesses);
         if indigo_obs::enabled() {
-            use indigo_obs::{Counter, Hist};
-            let launch_cycles = kernel_time + d.cost.launch;
-            Counter::SimLaunches.incr();
-            Counter::SimCycles.add(launch_cycles as u64);
-            Counter::SimGlobalAccesses.add(accesses);
-            Hist::LaunchCycles.record(launch_cycles as u64);
-            // Occupancy imbalance: max per-SM work over the mean, permille.
-            // 1000 = perfectly balanced; read before the heap is stowed.
-            let (mut max_w, mut sum_w, mut n) = (0.0f64, 0.0f64, 0u32);
-            for s in merge.heap.iter() {
-                max_w = max_w.max(s.work);
-                sum_w += s.work;
-                n += 1;
-            }
-            if n > 0 && sum_w > 0.0 {
-                Hist::SmImbalancePermille.record((max_w * f64::from(n) / sum_w * 1000.0) as u64);
+            // mechanism counters count the execution once; cycle-valued
+            // telemetry counts once per priced device (see `Merge::cycles`)
+            indigo_obs::Counter::SimLaunches.incr();
+            indigo_obs::Counter::SimGlobalAccesses.add(accesses);
+        }
+        for (k, &i) in live[..priced].iter().enumerate() {
+            if let Some(clock) = &mut self.clocks[i] {
+                *clock += merge.cycles(k, &self.devices[i]);
             }
         }
-        scratch.heap = merge.heap.into_vec();
-        self.cycles += kernel_time + d.cost.launch;
+        scratch.heap = merge.heap.map(BinaryHeap::into_vec);
         self.launches += 1;
         self.accesses += accesses;
         // a kernel launch boundary synchronizes the whole device: classify
@@ -914,10 +1019,13 @@ impl Drop for Sim {
 /// Block-ordered merge state: greedy least-loaded SM assignment and the
 /// reduction totals see blocks in exactly the serial order, which is what
 /// keeps cycles and `f32` sums bit-identical across worker counts (see
-/// [`SmSlot`] for the heap/`min_by` equivalence).
+/// [`SmSlot`] for the heap/`min_by` equivalence). Each priced device has
+/// its own heap and critical paths; `[k]` is the launch's `k`-th priced
+/// device.
 struct Merge<'a> {
-    heap: BinaryHeap<SmSlot>,
-    sm_crit: &'a mut Vec<f64>,
+    heap: [BinaryHeap<SmSlot>; MAX_DEVICES],
+    sm_crit: &'a mut [Vec<f64>; MAX_DEVICES],
+    priced: usize,
     total_u64: u64,
     total_f32: f32,
     accesses: u64,
@@ -930,13 +1038,43 @@ impl Merge<'_> {
         if !out.any {
             return;
         }
-        let mut top = self.heap.peek_mut().expect("sm_count >= 1");
-        top.work += out.cycles;
-        let sm = top.sm;
-        drop(top); // sift the updated SM back into heap order
-        self.sm_crit[sm] = self.sm_crit[sm].max(out.longest_warp);
+        for k in 0..self.priced {
+            let mut top = self.heap[k].peek_mut().expect("sm_count >= 1");
+            top.work += out.cycles[k];
+            let sm = top.sm;
+            drop(top); // sift the updated SM back into heap order
+            self.sm_crit[k][sm] = self.sm_crit[k][sm].max(out.longest_warp[k]);
+        }
         self.total_u64 += out.sum_u64;
         self.total_f32 += out.sum_f32;
+    }
+
+    /// The launch's cycles on priced device `k` (= `d`): its slowest SM
+    /// plus the launch overhead. Records the cycle-valued telemetry, once
+    /// per priced device.
+    fn cycles(&self, k: usize, d: &Device) -> f64 {
+        let kernel_time = self.heap[k]
+            .iter()
+            .map(|s| (s.work / d.warp_parallelism).max(self.sm_crit[k][s.sm]))
+            .fold(0.0f64, f64::max);
+        let launch_cycles = kernel_time + d.cost.launch;
+        if indigo_obs::enabled() {
+            use indigo_obs::{Counter, Hist};
+            Counter::SimCycles.add(launch_cycles as u64);
+            Hist::LaunchCycles.record(launch_cycles as u64);
+            // Occupancy imbalance: max per-SM work over the mean, permille.
+            // 1000 = perfectly balanced.
+            let (mut max_w, mut sum_w, mut n) = (0.0f64, 0.0f64, 0u32);
+            for s in self.heap[k].iter() {
+                max_w = max_w.max(s.work);
+                sum_w += s.work;
+                n += 1;
+            }
+            if n > 0 && sum_w > 0.0 {
+                Hist::SmImbalancePermille.record((max_w * f64::from(n) / sum_w * 1000.0) as u64);
+            }
+        }
+        launch_cycles
     }
 }
 
@@ -959,7 +1097,7 @@ where
     if shape.assign == Assign::ThreadPerItem && shape.reduce.is_none() && epilogue.is_none() {
         return run_block_thread_fast(shape, b, kernel, table);
     }
-    let c = shape.device.cost;
+    let costs = &shape.costs[..shape.priced];
     let LaunchShape {
         items,
         assign,
@@ -972,11 +1110,11 @@ where
         ..
     } = *shape;
     // cycles of a group-scratch reduction over `lanes` lanes
-    let coop_cost = |lanes: usize| (lanes.max(2) as f64).log2() * c.shuffle_step;
+    let coop_cost = |c: &CostModel, lanes: usize| (lanes.max(2) as f64).log2() * c.shuffle_step;
 
     let accesses_before = table.recorded();
-    let mut block_cycles = 0.0f64;
-    let mut longest_warp = 0.0f64;
+    let mut block_cycles = [0.0f64; MAX_DEVICES];
+    let mut longest_warp = [0.0f64; MAX_DEVICES];
     let mut block_u64 = 0u64;
     let mut block_f32 = 0.0f32;
     let mut block_reduce_calls = 0usize;
@@ -1089,16 +1227,20 @@ where
             }
 
             if warp_any {
-                let mut wc = table.finalize(&c);
-                if epilogue.is_some() && assign != Assign::ThreadPerItem {
-                    wc += coop_cost(WARP_SIZE);
-                }
-                if warp_reduce_calls > 0 && matches!(reduce, Some((ReduceStyle::ReductionAdd, _))) {
-                    wc += coop_cost(WARP_SIZE);
+                let mut wc = table.finalize(costs);
+                for (k, c) in costs.iter().enumerate() {
+                    if epilogue.is_some() && assign != Assign::ThreadPerItem {
+                        wc[k] += coop_cost(c, WARP_SIZE);
+                    }
+                    if warp_reduce_calls > 0
+                        && matches!(reduce, Some((ReduceStyle::ReductionAdd, _)))
+                    {
+                        wc[k] += coop_cost(c, WARP_SIZE);
+                    }
+                    block_cycles[k] += wc[k];
+                    longest_warp[k] = longest_warp[k].max(wc[k]);
                 }
                 block_reduce_calls += warp_reduce_calls;
-                block_cycles += wc;
-                longest_warp = longest_warp.max(wc);
                 block_any = true;
             }
         }
@@ -1129,8 +1271,10 @@ where
                 block_u64 += ctx.red_u64;
                 block_f32 += ctx.red_f32;
                 block_reduce_calls += ctx.red_calls;
-                block_cycles +=
-                    table.finalize(&c) + c.barrier + warps_per_block as f64 * c.shared_serial;
+                let wc = table.finalize(costs);
+                for (k, c) in costs.iter().enumerate() {
+                    block_cycles[k] += wc[k] + c.barrier + warps_per_block as f64 * c.shared_serial;
+                }
             }
         }
 
@@ -1144,29 +1288,31 @@ where
         return BlockOutcome::default();
     }
     // per-block epilogue for the block-cooperative reduction styles
-    if block_reduce_calls > 0 {
-        if let Some((style, kind)) = &reduce {
-            let global_add = match LaneCtx::rmw_class(*kind) {
-                AccessClass::CudaAtomicRmw => {
-                    (c.atomic_issue + c.atomic_per_addr) * c.cuda_atomic_mult
-                }
-                _ => c.atomic_issue + c.atomic_per_addr,
-            };
-            match style {
-                ReduceStyle::GlobalAdd => {}
-                ReduceStyle::BlockAdd => {
-                    block_cycles += c.barrier + global_add;
-                }
-                ReduceStyle::ReductionAdd => {
-                    // two barriers (Listing 10c) + per-warp shared
-                    // stores + the single global add
-                    block_cycles +=
-                        2.0 * c.barrier + warps_per_block as f64 * c.shared_serial + global_add;
+    for (k, c) in costs.iter().enumerate() {
+        if block_reduce_calls > 0 {
+            if let Some((style, kind)) = &reduce {
+                let global_add = match LaneCtx::rmw_class(*kind) {
+                    AccessClass::CudaAtomicRmw => {
+                        (c.atomic_issue + c.atomic_per_addr) * c.cuda_atomic_mult
+                    }
+                    _ => c.atomic_issue + c.atomic_per_addr,
+                };
+                match style {
+                    ReduceStyle::GlobalAdd => {}
+                    ReduceStyle::BlockAdd => {
+                        block_cycles[k] += c.barrier + global_add;
+                    }
+                    ReduceStyle::ReductionAdd => {
+                        // two barriers (Listing 10c) + per-warp shared
+                        // stores + the single global add
+                        block_cycles[k] +=
+                            2.0 * c.barrier + warps_per_block as f64 * c.shared_serial + global_add;
+                    }
                 }
             }
         }
+        block_cycles[k] += c.block_sched;
     }
-    block_cycles += c.block_sched;
 
     BlockOutcome {
         cycles: block_cycles,
@@ -1194,10 +1340,10 @@ fn run_block_thread_fast<F>(
 where
     F: Fn(&mut LaneCtx, usize) + Sync,
 {
-    let c = shape.device.cost;
+    let costs = &shape.costs[..shape.priced];
     let accesses_before = table.recorded();
-    let mut block_cycles = 0.0f64;
-    let mut longest_warp = 0.0f64;
+    let mut block_cycles = [0.0f64; MAX_DEVICES];
+    let mut longest_warp = [0.0f64; MAX_DEVICES];
     let mut block_u64 = 0u64;
     let mut block_f32 = 0.0f32;
     let mut block_any = false;
@@ -1243,9 +1389,11 @@ where
                 block_u64 += ctx.red_u64;
                 block_f32 += ctx.red_f32;
             }
-            let wc = table.finalize(&c);
-            block_cycles += wc;
-            longest_warp = longest_warp.max(wc);
+            let wc = table.finalize(costs);
+            for k in 0..costs.len() {
+                block_cycles[k] += wc[k];
+                longest_warp[k] = longest_warp[k].max(wc[k]);
+            }
         }
         round += 1;
         if !shape.persistent {
@@ -1256,7 +1404,9 @@ where
     if !block_any {
         return BlockOutcome::default();
     }
-    block_cycles += c.block_sched;
+    for (sum, c) in block_cycles.iter_mut().zip(costs) {
+        *sum += c.block_sched;
+    }
     BlockOutcome {
         cycles: block_cycles,
         longest_warp,
@@ -1703,6 +1853,141 @@ mod tests {
         }))
         .unwrap_err();
         assert!(indigo_cancel::as_cancelled(err.as_ref()).is_some());
+    }
+
+    // ---------- one execution, several devices ----------
+
+    /// Runs `launch` on a shared (TITAN V, RTX 3090) `Sim` and on a solo
+    /// `Sim` per device; returns the shared clocks and the solo ones.
+    fn shared_and_solo(launch: impl Fn(&mut Sim)) -> ([Option<f64>; 2], [f64; 2]) {
+        let devices = [titan_v(), rtx3090()];
+        let mut shared = Sim::for_devices(&devices);
+        launch(&mut shared);
+        let solo = devices.map(|d| {
+            let mut s = Sim::new(d);
+            launch(&mut s);
+            s.elapsed_cycles()
+        });
+        ([shared.cycles_on(0), shared.cycles_on(1)], solo)
+    }
+
+    #[test]
+    fn shared_sim_prices_each_device_like_its_solo_sim() {
+        for assign in [
+            Assign::ThreadPerItem,
+            Assign::WarpPerItem,
+            Assign::BlockPerItem,
+        ] {
+            for persistent in [false, true] {
+                for reduce in [
+                    None,
+                    Some(ReduceStyle::GlobalAdd),
+                    Some(ReduceStyle::BlockAdd),
+                    Some(ReduceStyle::ReductionAdd),
+                ] {
+                    let (shared, solo) = shared_and_solo(|s| {
+                        // fresh buffers: the kernel writes what it reads
+                        let data = GpuBuf::new(1 << 12, 3);
+                        let hist = GpuBuf::new(97, 0).with_kind(BufKind::CudaAtomic);
+                        s.launch_coop(
+                            600,
+                            assign,
+                            persistent,
+                            reduce.map(|style| (style, BufKind::CudaAtomic)),
+                            |ctx, i| {
+                                let v = ctx.ld(&data, (i * 37 + ctx.lane() * 5) % data.len());
+                                ctx.atomic_add(&hist, (i + v as usize) % 97, 1);
+                                ctx.scratch_add_u64(u64::from(v));
+                                ctx.reduce_add_u64(1);
+                            },
+                            |ctx, i| ctx.st(&data, i, ctx.group_u64() as u32),
+                        );
+                    });
+                    let at = format!("{assign:?} persistent={persistent} {reduce:?}");
+                    assert_eq!(shared, solo.map(Some), "{at}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn persistent_grid_that_maps_items_differently_drops_the_secondary() {
+        // block granularity: one item per block, so a persistent grid of
+        // 80 × 8 = 640 (TITAN V) or 82 × 8 = 656 (RTX 3090) blocks covers
+        // the items in one round alike only up to 640 of them
+        let grid = |d: Device| d.sm_count * d.resident_blocks_per_sm;
+        assert_eq!((grid(titan_v()), grid(rtx3090())), (640, 656));
+        for items in [1, 639, 640, 641, 650, 656, 657, 2000] {
+            let out = GpuBuf::new(items, 0);
+            let (shared, solo) = shared_and_solo(|s| {
+                s.launch(items, Assign::BlockPerItem, true, |ctx, i| {
+                    if ctx.lane() == 0 {
+                        ctx.atomic_add(&out, i, 1);
+                    }
+                });
+            });
+            assert_eq!(shared[0], Some(solo[0]), "{items} items: the primary");
+            let want = (items <= 640).then_some(solo[1]);
+            assert_eq!(shared[1], want, "{items} items: the secondary");
+        }
+        // non-persistent grids never differ
+        let (shared, solo) = shared_and_solo(|s| {
+            s.launch(650, Assign::BlockPerItem, false, |_, _| {});
+        });
+        assert_eq!(shared, solo.map(Some));
+    }
+
+    #[test]
+    fn dropped_secondary_stays_dropped_and_the_primary_runs_on() {
+        let data = GpuBuf::new(1 << 10, 1);
+        let mut s = Sim::for_devices(&[titan_v(), rtx3090()]);
+        s.launch(700, Assign::BlockPerItem, true, |ctx, i| {
+            ctx.ld(&data, i);
+        });
+        assert_eq!(s.cycles_on(1), None);
+        s.reset_clock();
+        s.launch(64, Assign::ThreadPerItem, false, |ctx, i| {
+            ctx.ld(&data, i);
+        });
+        assert_eq!(s.cycles_on(1), None, "a reset does not re-price it");
+        assert!(s.cycles_on(0).is_some());
+        assert_eq!(s.cycles_on(2), None, "past the device count");
+    }
+
+    #[test]
+    fn secondary_past_the_cycle_budget_stops_being_priced() {
+        // cuda::atomic RMWs cost ~10x more on the TITAN V, so with the RTX
+        // 3090 primary a budget between the two clocks stops only the
+        // secondary, at the launch boundary where its solo run unwinds
+        let hist = GpuBuf::new(64, 0).with_kind(BufKind::CudaAtomic);
+        let step = |s: &mut Sim| {
+            s.launch(256, Assign::ThreadPerItem, false, |ctx, i| {
+                ctx.atomic_add(&hist, i % 64, 1);
+            })
+        };
+        let mut s = Sim::for_devices(&[rtx3090(), titan_v()]);
+        step(&mut s);
+        let (rtx, titan) = (s.elapsed_cycles(), s.cycles_on(1).unwrap());
+        assert!(titan > 4.0 * rtx, "{titan} vs {rtx}");
+        s.set_cycle_budget(2.0 * rtx);
+        step(&mut s);
+        assert_eq!(s.cycles_on(1), None, "the secondary passed the budget");
+        assert_eq!(s.elapsed_cycles(), 2.0 * rtx, "the primary ran on");
+        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            for _ in 0..2 {
+                step(&mut s);
+            }
+        }))
+        .unwrap_err();
+        assert!(indigo_cancel::as_cancelled(err.as_ref()).is_some());
+    }
+
+    #[test]
+    #[should_panic(expected = "disagree on block_dim")]
+    fn devices_of_one_sim_must_share_the_block_shape() {
+        let mut small = rtx3090();
+        small.block_dim = 128;
+        Sim::for_devices(&[titan_v(), small]);
     }
 
     #[test]

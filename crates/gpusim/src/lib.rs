@@ -50,6 +50,10 @@ pub use launch::{Assign, LaneCtx, ReduceStyle, Sim};
 /// Re-exported warp width (CUDA's fixed 32).
 pub const WARP_SIZE: usize = 32;
 
+/// Most devices one [`Sim`] prices from a single execution: the paper's
+/// two GPUs (§4.3).
+pub const MAX_DEVICES: usize = 2;
+
 /// Version stamp of the calibrated cost model. Bump whenever a
 /// [`CostModel`] constant or a pricing rule changes: the harness folds this
 /// into every cell fingerprint, so stale checkpoint journals from an older

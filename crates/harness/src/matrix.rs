@@ -26,8 +26,8 @@ use crate::schedule::{ProgressEvent, RunOptions, RunPhase};
 use indigo_cancel::CancelToken;
 use indigo_core::gpu::DeviceGraph;
 use indigo_core::{
-    run_gpu_supervised, run_variant_supervised, verify, GraphInput, Output, SimStats, Supervision,
-    Target,
+    run_gpu_shared, run_gpu_supervised, run_variant_supervised, verify, GraphInput, Output,
+    SimStats, Supervision, Target,
 };
 use indigo_exec::SYSTEM_PROFILES;
 use indigo_gpusim::{rtx3090, titan_v, Device, FaultKind, FaultPlan};
@@ -335,15 +335,8 @@ impl RunPlan {
         let (gpu_cells, cpu_cells, total_cells) = self.enumerate_cells();
         let slots: Vec<OnceLock<CellRecord>> = (0..total_cells).map(|_| OnceLock::new()).collect();
 
-        let exec_cell = |cell: &Cell| -> CellRecord {
-            let record = self.execute_cell(
-                cell,
-                &inputs[cell.graph],
-                options,
-                res,
-                watchdog.as_ref(),
-                &resumed,
-            );
+        // journals a fresh record and files it in its slot
+        let file = |cell: &Cell, record: CellRecord| {
             if !record.resumed {
                 if let Some(j) = &writer {
                     if let Err(e) = j.record(&record) {
@@ -354,30 +347,53 @@ impl RunPlan {
                     }
                 }
             }
-            record
+            let filled = slots[cell.slot].set(record);
+            debug_assert!(filled.is_ok(), "slot {} measured twice", cell.slot);
         };
 
-        // ---- phase 2: GPU-sim cells, fanned across the job pool
+        // ---- phase 2: GPU-sim cells, fanned across the job pool one
+        // (graph, variant) at a time: its device cells sit in adjacent
+        // slots and share one execution
         let started = Instant::now();
         let started_us = indigo_obs::now_micros();
         progress(ProgressEvent::PhaseStart {
             phase: RunPhase::GpuSim,
             total: gpu_cells.len(),
         });
+        let units: Vec<&[Cell]> = gpu_cells
+            .chunk_by(|a, b| (a.graph, a.variant) == (b.graph, b.variant))
+            .collect();
+        let cells_done = AtomicUsize::new(0);
+        let mut reported = 0;
         run_indexed_parallel(
-            gpu_cells.len(),
+            units.len(),
             jobs,
-            |i| {
-                let cell = &gpu_cells[i];
-                let filled = slots[cell.slot].set(exec_cell(cell));
-                debug_assert!(filled.is_ok(), "slot {} measured twice", cell.slot);
+            |u| {
+                let unit = units[u];
+                let records = self.execute_gpu_cells(
+                    unit,
+                    &inputs[unit[0].graph],
+                    options,
+                    res,
+                    watchdog.as_ref(),
+                    &resumed,
+                );
+                for (cell, record) in unit.iter().zip(records) {
+                    file(cell, record);
+                }
+                cells_done.fetch_add(unit.len(), Ordering::Release);
             },
-            |done| {
-                progress(ProgressEvent::Cell {
-                    phase: RunPhase::GpuSim,
-                    done,
-                    total: gpu_cells.len(),
-                });
+            |_| {
+                // one event per cell, a unit's back to back
+                let done = cells_done.load(Ordering::Acquire);
+                while reported < done {
+                    reported += 1;
+                    progress(ProgressEvent::Cell {
+                        phase: RunPhase::GpuSim,
+                        done: reported,
+                        total: gpu_cells.len(),
+                    });
+                }
             },
         );
         progress(ProgressEvent::PhaseEnd {
@@ -396,8 +412,15 @@ impl RunPlan {
             total: cpu_cells.len(),
         });
         for (done, cell) in cpu_cells.iter().enumerate() {
-            let filled = slots[cell.slot].set(exec_cell(cell));
-            debug_assert!(filled.is_ok(), "slot {} measured twice", cell.slot);
+            let record = self.execute_cell(
+                cell,
+                &inputs[cell.graph],
+                options,
+                res,
+                watchdog.as_ref(),
+                &resumed,
+            );
+            file(cell, record);
             progress(ProgressEvent::Cell {
                 phase: RunPhase::CpuWall,
                 done: done + 1,
@@ -522,6 +545,135 @@ impl RunPlan {
         (gpu_cells, cpu_cells, slot)
     }
 
+    /// Runs (or replays) the GPU cells of one (graph, variant) — one per
+    /// device, in adjacent slots — to one record each, in slot order.
+    ///
+    /// Fresh cells execute once, priced for every device
+    /// ([`run_gpu_shared`]), under one token and one watchdog watch, and
+    /// their output is verified once. A device the execution stopped
+    /// pricing — and every device but the first when the first unwinds —
+    /// then runs alone through [`RunPlan::execute_cell`], so every record
+    /// equals the one a run of its cell alone writes. A cell resumed from
+    /// the journal or targeted by an injected fault runs (or replays) alone
+    /// too, and so does its partner.
+    fn execute_gpu_cells(
+        &self,
+        cells: &[Cell],
+        prepared: &Prepared,
+        options: &RunOptions,
+        res: &Resilience,
+        watchdog: Option<&Watchdog>,
+        resumed: &HashMap<u64, JournalEntry>,
+    ) -> Vec<CellRecord> {
+        let solo = |cell: &Cell| self.execute_cell(cell, prepared, options, res, watchdog, resumed);
+        let alone = cells.len() == 1
+            || cells.iter().any(|c| {
+                resumed.contains_key(&self.labels(c).3)
+                    || res.fault.is_some_and(|f| f.cell == c.slot)
+            });
+        if alone {
+            return cells.iter().map(solo).collect();
+        }
+        let shared = self.execute_shared(cells, prepared, options, res, watchdog);
+        (shared.into_iter().zip(cells))
+            .map(|(record, cell)| record.unwrap_or_else(|| solo(cell)))
+            .collect()
+    }
+
+    /// One execution of `cells` (one graph and variant, one device each),
+    /// priced for all of them: a record per cell, `None` where that cell
+    /// must run alone (see [`RunPlan::execute_gpu_cells`]).
+    fn execute_shared(
+        &self,
+        cells: &[Cell],
+        prepared: &Prepared,
+        options: &RunOptions,
+        res: &Resilience,
+        watchdog: Option<&Watchdog>,
+    ) -> Vec<Option<CellRecord>> {
+        let cfg = &self.variants[cells[0].variant];
+        let devices: Vec<Device> = (cells.iter())
+            .map(|c| match c.target {
+                TargetSpec::Gpu(d) => d,
+                TargetSpec::Cpu(..) => unreachable!("only GPU cells share an execution"),
+            })
+            .collect();
+        let (sup, guard) = supervision(res, watchdog, false);
+        let started_us = obs_clock();
+        let run = catch_unwind(AssertUnwindSafe(|| {
+            run_gpu_shared(cfg, &prepared.device, &devices, options.sim_workers, &sup)
+        }));
+        let outcomes: Vec<Option<(CellOutcome, Option<SimStats>)>> = match run {
+            Ok(run) => {
+                let verdict = match self.verify {
+                    true => verify::check(cfg, &prepared.input, &run.output),
+                    false => Ok(()),
+                };
+                (cells.iter().zip(run.priced))
+                    .map(|(cell, priced)| {
+                        let (secs, stats) = priced?;
+                        let outcome = match &verdict {
+                            Ok(()) => CellOutcome::Ok(self.measurement(
+                                cell,
+                                &prepared.input,
+                                secs,
+                                run.iterations,
+                            )),
+                            Err(detail) => CellOutcome::WrongAnswer {
+                                detail: detail.clone(),
+                            },
+                        };
+                        Some((outcome, Some(stats)))
+                    })
+                    .collect()
+            }
+            // the first device's outcome is the unwind; the rest run alone
+            Err(payload) => (0..cells.len())
+                .map(|i| (i == 0).then(|| (unwound(payload.as_ref(), guard.as_ref(), res), None)))
+                .collect(),
+        };
+        drop(guard);
+        // the execution's wall time, split evenly between the cells it priced
+        let dur_us = obs_clock().saturating_sub(started_us);
+        let shares = outcomes.iter().flatten().count().max(1) as u64;
+        let mut share = 0;
+        (cells.iter().zip(outcomes))
+            .map(|(cell, outcome)| {
+                let (outcome, stats) = outcome?;
+                let (variant, graph, target, fp) = self.labels(cell);
+                let begin = started_us + dur_us * share / shares;
+                share += 1;
+                let end = started_us + dur_us * share / shares;
+                emit_cell_span(
+                    &variant,
+                    graph,
+                    &target,
+                    begin,
+                    end - begin,
+                    &outcome,
+                    stats,
+                );
+                Some(CellRecord {
+                    fingerprint: fp,
+                    variant,
+                    graph,
+                    target,
+                    outcome,
+                    resumed: false,
+                })
+            })
+            .collect()
+    }
+
+    /// A cell's variant name, graph and target labels, and fingerprint.
+    fn labels(&self, cell: &Cell) -> (String, &'static str, String, u64) {
+        let variant = self.variants[cell.variant].name();
+        let graph = self.graphs[cell.graph].label();
+        let target = cell.target.label();
+        let fp = journal::fingerprint(self.scale, self.reps, self.verify, &variant, graph, &target);
+        (variant, graph, target, fp)
+    }
+
     /// Runs (or replays) one cell to a [`CellRecord`]. This is the
     /// isolation boundary: whatever happens inside — panic, cancellation,
     /// verification failure — ends as a structured outcome, never an
@@ -536,37 +688,13 @@ impl RunPlan {
         resumed: &HashMap<u64, JournalEntry>,
     ) -> CellRecord {
         let cfg = &self.variants[cell.variant];
-        let which = self.graphs[cell.graph];
-        let variant = cfg.name();
-        let graph_label = which.label();
-        let target_label = cell.target.label();
-        let fp = journal::fingerprint(
-            self.scale,
-            self.reps,
-            self.verify,
-            &variant,
-            graph_label,
-            &target_label,
-        );
+        let (variant, graph_label, target_label, fp) = self.labels(cell);
         if let Some(entry) = resumed.get(&fp) {
             return replay_record(fp, cfg, graph_label, &target_label, &variant, entry);
         }
 
         let fault_here = res.fault.filter(|f| f.cell == cell.slot);
-        // supervision is armed only when something could use it, so the
-        // strict/legacy path stays token-free
-        let needs_token =
-            res.cell_timeout.is_some() || res.cycle_budget.is_some() || fault_here.is_some();
-        let token = needs_token.then(CancelToken::new);
-        let guard = match (watchdog, &token, res.cell_timeout) {
-            (Some(w), Some(t), Some(budget)) => Some(w.watch(budget, t.clone())),
-            _ => None,
-        };
-        let mut sup = Supervision {
-            cancel: token,
-            sim_cycle_budget: res.cycle_budget,
-            fault: None,
-        };
+        let (mut sup, guard) = supervision(res, watchdog, fault_here.is_some());
         let mut corrupt = false;
         let mut harness_fault = None;
         if let Some(f) = fault_here {
@@ -593,12 +721,7 @@ impl RunPlan {
             }
         }
 
-        let (input, dg) = (&prepared.input, &prepared.device);
-        let cell_started_us = if indigo_obs::enabled() {
-            indigo_obs::now_micros()
-        } else {
-            0
-        };
+        let cell_started_us = obs_clock();
         let run = catch_unwind(AssertUnwindSafe(|| {
             match harness_fault {
                 Some(CellFaultKind::Panic) => {
@@ -613,16 +736,7 @@ impl RunPlan {
                 }
                 _ => {}
             }
-            self.run_cell(
-                cfg,
-                which,
-                input,
-                dg,
-                &cell.target,
-                options.sim_workers,
-                &sup,
-                corrupt,
-            )
+            self.run_cell(cell, prepared, options.sim_workers, &sup, corrupt)
         }));
         let mut sim_stats = None;
         let outcome = match run {
@@ -631,44 +745,19 @@ impl RunPlan {
                 CellOutcome::Ok(m)
             }
             Ok(Err(detail)) => CellOutcome::WrongAnswer { detail },
-            Err(payload) => match indigo_cancel::as_cancelled(payload.as_ref()) {
-                Some(c) => CellOutcome::TimedOut {
-                    budget_secs: guard
-                        .as_ref()
-                        .filter(|g| g.wall_fired())
-                        .and(res.cell_timeout)
-                        .map(|d| d.as_secs_f64()),
-                    reason: c.reason.clone(),
-                },
-                None => CellOutcome::Crashed {
-                    payload: indigo_cancel::payload_text(payload.as_ref()),
-                },
-            },
+            Err(payload) => unwound(payload.as_ref(), guard.as_ref(), res),
         };
         drop(guard);
-        if indigo_obs::enabled() {
-            let dur_us = indigo_obs::now_micros().saturating_sub(cell_started_us);
-            indigo_obs::Hist::CellMicros.record(dur_us);
-            let mut ev = indigo_obs::TraceEvent::span(
-                "cell",
-                format!("{variant}|{graph_label}|{target_label}"),
-                cell_started_us,
-                dur_us.max(1),
-            )
-            .with_arg("outcome", outcome.label());
-            if let CellOutcome::Ok(m) = &outcome {
-                ev = ev
-                    .with_arg("geps", format!("{:.6}", m.geps))
-                    .with_arg("iterations", m.iterations.to_string());
-            }
-            if let Some(s) = sim_stats {
-                ev = ev
-                    .with_arg("sim_cycles", format!("{:.0}", s.cycles))
-                    .with_arg("sim_launches", s.launches.to_string())
-                    .with_arg("sim_accesses", s.accesses.to_string());
-            }
-            indigo_obs::emit(&ev);
-        }
+        let dur_us = obs_clock().saturating_sub(cell_started_us);
+        emit_cell_span(
+            &variant,
+            graph_label,
+            &target_label,
+            cell_started_us,
+            dur_us,
+            &outcome,
+            sim_stats,
+        );
         CellRecord {
             fingerprint: fp,
             variant,
@@ -686,42 +775,37 @@ impl RunPlan {
     /// for GPU cells (telemetry only; `None` for CPU cells).
     ///
     /// [`Cancelled`]: indigo_cancel::Cancelled
-    #[allow(clippy::too_many_arguments)]
     fn run_cell(
         &self,
-        cfg: &StyleConfig,
-        which: SuiteGraph,
-        input: &GraphInput,
-        dg: &DeviceGraph,
-        target: &TargetSpec,
+        cell: &Cell,
+        prepared: &Prepared,
         sim_workers: usize,
         sup: &Supervision,
         corrupt: bool,
     ) -> Result<(Measurement, Option<SimStats>), String> {
-        let (mut result, reps) = match target {
+        let cfg = &self.variants[cell.variant];
+        let (input, dg) = (&prepared.input, &prepared.device);
+        let (mut result, reps) = match cell.target {
             TargetSpec::Gpu(device) => {
                 // the simulator is deterministic: one run is exact
-                (run_gpu_supervised(cfg, dg, *device, sim_workers, sup), 1)
+                (run_gpu_supervised(cfg, dg, device, sim_workers, sup), 1)
             }
             TargetSpec::Cpu(_, threads) => (
-                run_variant_supervised(cfg, input, &Target::cpu(*threads), sup),
+                run_variant_supervised(cfg, input, &Target::cpu(threads), sup),
                 self.reps.max(1),
             ),
         };
         let mut secs = vec![result.secs];
-        if reps > 1 {
-            if let TargetSpec::Cpu(_, threads) = target {
-                for _ in 1..reps {
-                    // repetition boundaries are cancellation points
-                    if let Some(token) = &sup.cancel {
-                        token.checkpoint();
-                    }
-                    secs.push(run_variant_supervised(cfg, input, &Target::cpu(*threads), sup).secs);
+        if let TargetSpec::Cpu(_, threads) = cell.target {
+            for _ in 1..reps {
+                // repetition boundaries are cancellation points
+                if let Some(token) = &sup.cancel {
+                    token.checkpoint();
                 }
+                secs.push(run_variant_supervised(cfg, input, &Target::cpu(threads), sup).secs);
             }
         }
         secs.sort_by(f64::total_cmp);
-        let median = interp_median(&secs);
         let sim_stats = result.sim;
         if corrupt {
             corrupt_output(&mut result.output);
@@ -729,22 +813,123 @@ impl RunPlan {
         if self.verify {
             verify::check(cfg, input, &result.output)?;
         }
-        let geps = if median > 0.0 {
-            input.num_edges() as f64 / median / 1e9
+        let m = self.measurement(cell, input, interp_median(&secs), result.iterations);
+        Ok((m, sim_stats))
+    }
+
+    /// A cell's [`Measurement`] from its (median) run time.
+    fn measurement(
+        &self,
+        cell: &Cell,
+        input: &GraphInput,
+        secs: f64,
+        iterations: usize,
+    ) -> Measurement {
+        let geps = if secs > 0.0 {
+            input.num_edges() as f64 / secs / 1e9
         } else {
             f64::INFINITY
         };
-        Ok((
-            Measurement {
-                cfg: *cfg,
-                graph: which.label(),
-                target: target.label(),
-                geps,
-                iterations: result.iterations,
-            },
-            sim_stats,
-        ))
+        Measurement {
+            cfg: self.variants[cell.variant],
+            graph: self.graphs[cell.graph].label(),
+            target: cell.target.label(),
+            geps,
+            iterations,
+        }
     }
+}
+
+/// The supervision `res` asks of one cell's run, or of one execution
+/// shared by several cells, and its watchdog registration. A token is armed
+/// only when something could use it (a budget, or a `fault`), so the
+/// strict/legacy path stays token-free.
+fn supervision(
+    res: &Resilience,
+    watchdog: Option<&Watchdog>,
+    fault: bool,
+) -> (Supervision, Option<WatchGuard>) {
+    let needs_token = res.cell_timeout.is_some() || res.cycle_budget.is_some() || fault;
+    let token = needs_token.then(CancelToken::new);
+    let guard = match (watchdog, &token, res.cell_timeout) {
+        (Some(w), Some(t), Some(budget)) => Some(w.watch(budget, t.clone())),
+        _ => None,
+    };
+    let sup = Supervision {
+        cancel: token,
+        sim_cycle_budget: res.cycle_budget,
+        fault: None,
+    };
+    (sup, guard)
+}
+
+/// The record of a cell whose run unwound: a [`Cancelled`] payload (the
+/// token, the cycle budget, or the watchdog) is a timeout — with a budget
+/// only when the watchdog fired — and anything else a crash.
+///
+/// [`Cancelled`]: indigo_cancel::Cancelled
+fn unwound(
+    payload: &(dyn std::any::Any + Send),
+    guard: Option<&WatchGuard>,
+    res: &Resilience,
+) -> CellOutcome {
+    match indigo_cancel::as_cancelled(payload) {
+        Some(c) => CellOutcome::TimedOut {
+            budget_secs: guard
+                .filter(|g| g.wall_fired())
+                .and(res.cell_timeout)
+                .map(|d| d.as_secs_f64()),
+            reason: c.reason.clone(),
+        },
+        None => CellOutcome::Crashed {
+            payload: indigo_cancel::payload_text(payload),
+        },
+    }
+}
+
+/// The trace clock, read only when telemetry is on.
+fn obs_clock() -> u64 {
+    if indigo_obs::enabled() {
+        indigo_obs::now_micros()
+    } else {
+        0
+    }
+}
+
+/// Records one cell's wall time and emits its trace span (telemetry
+/// builds only).
+fn emit_cell_span(
+    variant: &str,
+    graph: &str,
+    target: &str,
+    started_us: u64,
+    dur_us: u64,
+    outcome: &CellOutcome,
+    sim_stats: Option<SimStats>,
+) {
+    if !indigo_obs::enabled() {
+        return;
+    }
+    indigo_obs::Hist::CellMicros.record(dur_us);
+    let mut ev = indigo_obs::TraceEvent::span(
+        "cell",
+        format!("{variant}|{graph}|{target}"),
+        started_us,
+        dur_us.max(1),
+    )
+    .with_arg("outcome", outcome.label());
+    if let CellOutcome::Ok(m) = outcome {
+        ev = ev
+            .with_arg("geps", format!("{:.6}", m.geps))
+            .with_arg("iterations", m.iterations.to_string());
+    }
+    if let Some(s) = sim_stats {
+        ev = ev
+            .with_arg("sim_cycles", format!("{:.0}", s.cycles))
+            .with_arg("sim_launches", s.launches.to_string())
+            .with_arg("sim_accesses", s.accesses.to_string());
+    }
+    indigo_obs::emit(&ev);
 }
 
 /// Median of an already-sorted, non-empty sample. Even-length samples
@@ -1101,6 +1286,7 @@ where
 mod tests {
     use super::*;
     use crate::outcome::FaultSpec;
+    use indigo_core::run_gpu_shared;
 
     #[test]
     fn tiny_matrix_runs_and_verifies() {
@@ -1520,6 +1706,134 @@ mod tests {
             );
             assert_eq!(ma.geps.to_bits(), mb.geps.to_bits());
             assert_eq!(ma.iterations, mb.iterations);
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// What a record says: fingerprint, outcome label, its reason/detail/
+    /// payload text, and the measurement's geps bits and iterations.
+    fn says(r: &CellRecord) -> (u64, &'static str, String, Option<(u64, usize)>) {
+        let text = match &r.outcome {
+            CellOutcome::Ok(_) => String::new(),
+            CellOutcome::TimedOut { reason, .. } => reason.clone(),
+            CellOutcome::WrongAnswer { detail } => detail.clone(),
+            CellOutcome::Crashed { payload } => payload.clone(),
+        };
+        let m = r.outcome.measurement();
+        let m = m.map(|m| (m.geps.to_bits(), m.iterations));
+        (r.fingerprint, r.outcome.label(), text, m)
+    }
+
+    /// Every cell of an all-CUDA `plan` run alone, the way each cell ran
+    /// before the two devices shared an execution.
+    fn solo_records(plan: &RunPlan, res: &Resilience) -> Vec<CellRecord> {
+        let (gpu, cpu, _) = plan.enumerate_cells();
+        assert!(cpu.is_empty(), "an all-CUDA plan");
+        let inputs: Vec<Prepared> = (plan.graphs.iter())
+            .map(|&g| Prepared::new(g, plan.scale))
+            .collect();
+        let opts = RunOptions::default();
+        (gpu.iter())
+            .map(|c| plan.execute_cell(c, &inputs[c.graph], &opts, res, None, &HashMap::new()))
+            .collect()
+    }
+
+    fn assert_records_match(shared: &MatrixRun, solo: &[CellRecord]) {
+        assert_eq!(shared.records.len(), solo.len());
+        for (a, b) in shared.records.iter().zip(solo) {
+            assert_eq!(
+                says(a),
+                says(b),
+                "{} on {} ({})",
+                b.variant,
+                b.graph,
+                b.target
+            );
+        }
+    }
+
+    #[test]
+    fn shared_pairs_write_the_records_of_solo_runs() {
+        // edge-parallel TC at persistent block granularity on Tiny road
+        // (674 edges) maps edges differently on the two grids (640 and 656
+        // blocks), so those pairs fall back to a second, solo run; the
+        // vertex-parallel ones share one execution
+        let plan = RunPlan::for_algorithms(&[Algorithm::Tc], &[Model::Cuda], Scale::Tiny, 1)
+            .filter(|c| {
+                c.granularity == Some(indigo_styles::Granularity::Block)
+                    && c.atomic == Some(indigo_styles::AtomicKind::Atomic)
+            })
+            .with_graphs(vec![SuiteGraph::RoadMap]);
+        let road = Prepared::new(SuiteGraph::RoadMap, Scale::Tiny);
+        let fallbacks = (plan.variants.iter())
+            .filter(|cfg| {
+                let devices = [titan_v(), rtx3090()];
+                let run = run_gpu_shared(cfg, &road.device, &devices, 1, &Supervision::none());
+                run.priced[1].is_none()
+            })
+            .count();
+        assert!(
+            fallbacks > 0 && fallbacks < plan.variants.len(),
+            "{fallbacks}"
+        );
+        let res = Resilience::none();
+        let solo = solo_records(&plan, &res);
+        for jobs in [1, 2] {
+            let opts = RunOptions::default().with_jobs(jobs).with_sim_workers(jobs);
+            assert_records_match(&plan.run_cells(&opts, &res, |_| {}).unwrap(), &solo);
+        }
+    }
+
+    #[test]
+    fn cycle_budget_between_the_two_devices_times_out_one_cell_of_a_pair() {
+        let mut plan = RunPlan::for_algorithms(&[Algorithm::Pr], &[Model::Cuda], Scale::Tiny, 1)
+            .filter(|c| {
+                c.granularity == Some(indigo_styles::Granularity::Thread)
+                    && c.atomic == Some(indigo_styles::AtomicKind::Atomic)
+                    && c.persistence == Some(indigo_styles::Persistence::NonPersistent)
+            })
+            .with_graphs(vec![SuiteGraph::Grid2d]);
+        plan.variants.truncate(1);
+        let grid = Prepared::new(SuiteGraph::Grid2d, Scale::Tiny);
+        let cycles = |d| {
+            let r = run_gpu_supervised(&plan.variants[0], &grid.device, d, 1, &Supervision::none());
+            r.sim.unwrap().cycles
+        };
+        let (titan, rtx) = (cycles(titan_v()), cycles(rtx3090()));
+        assert!(titan > rtx, "{titan} vs {rtx}");
+        // the RTX 3090 never passes its own total at a launch boundary; the
+        // TITAN V passes it before its last launch
+        let res = Resilience::none().with_cycle_budget(rtx);
+        let solo = solo_records(&plan, &res);
+        let labels: Vec<&str> = solo.iter().map(|r| r.outcome.label()).collect();
+        assert_eq!(labels, ["timed-out", "ok"]);
+        let shared = plan.run_cells(&RunOptions::default(), &res, |_| {});
+        assert_records_match(&shared.unwrap(), &solo);
+    }
+
+    #[test]
+    fn resume_with_half_a_pair_journaled_replays_it_and_runs_the_other() {
+        let dir = std::env::temp_dir().join(format!("indigo-matrix-half-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("run.journal");
+        std::fs::remove_file(&path).ok();
+        let plan = tc_plan();
+        let opts = RunOptions::default();
+        let full = plan
+            .run_cells(&opts, &Resilience::none().with_journal(&path), |_| {})
+            .unwrap();
+        let text = std::fs::read_to_string(&path).unwrap();
+        // slot 0 is the first pair's TITAN V cell, slot 2 the second's
+        for keep in [1, 3] {
+            let head: Vec<&str> = text.lines().take(keep).collect();
+            std::fs::write(&path, format!("{}\n", head.join("\n"))).unwrap();
+            let resumed = plan
+                .run_cells(&opts, &Resilience::none().resuming(&path), |_| {})
+                .unwrap();
+            let replayed: Vec<bool> = resumed.records.iter().map(|r| r.resumed).collect();
+            assert!(replayed[..keep].iter().all(|&r| r), "keep {keep}");
+            assert!(replayed[keep..].iter().all(|&r| !r), "keep {keep}");
+            assert_records_match(&resumed, &full.records);
         }
         std::fs::remove_dir_all(&dir).ok();
     }

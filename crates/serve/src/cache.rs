@@ -40,7 +40,7 @@ impl CachedCell {
 
 /// The in-memory cache plus its append-only journal.
 pub struct ResultCache {
-    map: Mutex<HashMap<u64, CachedCell>>,
+    cells: Mutex<Cells>,
     journal: Option<Journal>,
     /// Cells replayed from the journal at startup.
     pub recovered: usize,
@@ -48,11 +48,84 @@ pub struct ResultCache {
     pub skipped: usize,
 }
 
+/// The cached cells. A cell's labels come from a small set — the suite's
+/// variants, graphs and targets — so each label is stored once and an
+/// entry holds ids: 32 bytes per cell and no heap memory of its own. Three
+/// `String`s per cell made the map most of what a busy server grew by.
+#[derive(Default)]
+struct Cells {
+    map: HashMap<u64, Entry>,
+    /// Every distinct label, at its id.
+    labels: Vec<String>,
+    ids: HashMap<String, u32>,
+}
+
+/// One cached cell: its measurement and the ids of its labels.
+struct Entry {
+    geps_bits: u64,
+    iterations: usize,
+    variant: u32,
+    graph: u32,
+    target: u32,
+}
+
+impl Cells {
+    fn id(&mut self, label: &str) -> u32 {
+        if let Some(&id) = self.ids.get(label) {
+            return id;
+        }
+        let id = u32::try_from(self.labels.len()).expect("fewer than 2^32 distinct labels");
+        self.labels.push(label.to_string());
+        self.ids.insert(label.to_string(), id);
+        id
+    }
+
+    /// Caches a cell unless its fingerprint is cached already (the
+    /// keep-first rule of [`ResultCache::insert`]); returns whether it was
+    /// new.
+    fn insert(&mut self, fp: u64, labels: [&str; 3], geps_bits: u64, iterations: usize) -> bool {
+        if self.map.contains_key(&fp) {
+            return false;
+        }
+        let [variant, graph, target] = labels.map(|l| self.id(l));
+        let entry = Entry {
+            geps_bits,
+            iterations,
+            variant,
+            graph,
+            target,
+        };
+        self.map.insert(fp, entry);
+        true
+    }
+
+    /// Caches `rec` when its outcome is `ok` and its fingerprint new;
+    /// returns whether it did.
+    fn insert_record(&mut self, rec: &CellRecord) -> bool {
+        let Some(m) = rec.outcome.measurement() else {
+            return false;
+        };
+        let labels = [rec.variant.as_str(), rec.graph, rec.target.as_str()];
+        self.insert(rec.fingerprint, labels, m.geps.to_bits(), m.iterations)
+    }
+
+    fn cell(&self, e: &Entry) -> CachedCell {
+        let label = |id: u32| self.labels[id as usize].clone();
+        CachedCell {
+            variant: label(e.variant),
+            graph: label(e.graph),
+            target: label(e.target),
+            geps_bits: e.geps_bits,
+            iterations: e.iterations,
+        }
+    }
+}
+
 impl ResultCache {
     /// Opens the cache, replaying `journal_path` when given (and taking its
     /// lockfile — a second server on the same journal fails fast here).
     pub fn open(journal_path: Option<&Path>) -> std::io::Result<ResultCache> {
-        let mut map = HashMap::new();
+        let mut cells = Cells::default();
         let mut skipped = 0;
         if let Some(path) = journal_path {
             match journal::load(path) {
@@ -64,16 +137,8 @@ impl ResultCache {
                             iterations,
                         } = e.outcome
                         {
-                            map.insert(
-                                fp,
-                                CachedCell {
-                                    variant: e.variant,
-                                    graph: e.graph,
-                                    target: e.target,
-                                    geps_bits,
-                                    iterations,
-                                },
-                            );
+                            let labels = [e.variant.as_str(), &e.graph, &e.target];
+                            cells.insert(fp, labels, geps_bits, iterations);
                         }
                     }
                 }
@@ -81,23 +146,24 @@ impl ResultCache {
                 Err(e) => return Err(e),
             }
         }
-        let recovered = map.len();
+        let recovered = cells.map.len();
         let journal = journal_path.map(Journal::append_to).transpose()?;
         Ok(ResultCache {
-            map: Mutex::new(map),
+            cells: Mutex::new(cells),
             journal,
             recovered,
             skipped,
         })
     }
 
+    fn lock(&self) -> std::sync::MutexGuard<'_, Cells> {
+        self.cells.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     /// Looks up one cell.
     pub fn get(&self, fp: u64) -> Option<CachedCell> {
-        self.map
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .get(&fp)
-            .cloned()
+        let cells = self.lock();
+        cells.map.get(&fp).map(|e| cells.cell(e))
     }
 
     /// Caches (and journals) a completed cell. Non-`ok` outcomes are
@@ -108,24 +174,8 @@ impl ResultCache {
     /// answer. Journal write failures degrade persistence, not service —
     /// the error is returned for counting but the cell is still cached.
     pub fn insert(&self, rec: &CellRecord) -> std::io::Result<()> {
-        let Some(m) = rec.outcome.measurement() else {
+        if !self.lock().insert_record(rec) {
             return Ok(());
-        };
-        {
-            let mut map = self.map.lock().unwrap_or_else(|e| e.into_inner());
-            if map.contains_key(&rec.fingerprint) {
-                return Ok(());
-            }
-            map.insert(
-                rec.fingerprint,
-                CachedCell {
-                    variant: rec.variant.clone(),
-                    graph: rec.graph.to_string(),
-                    target: rec.target.clone(),
-                    geps_bits: m.geps.to_bits(),
-                    iterations: m.iterations,
-                },
-            );
         }
         match &self.journal {
             Some(j) => j.record(rec),
@@ -138,29 +188,11 @@ impl ResultCache {
     /// already cached are neither overwritten nor re-journaled. Returns how
     /// many journal appends failed (persistence degraded, service intact).
     pub fn insert_batch(&self, records: &[&CellRecord]) -> usize {
-        let mut fresh: Vec<&CellRecord> = Vec::with_capacity(records.len());
-        {
-            let mut map = self.map.lock().unwrap_or_else(|e| e.into_inner());
-            for rec in records {
-                let Some(m) = rec.outcome.measurement() else {
-                    continue;
-                };
-                if map.contains_key(&rec.fingerprint) {
-                    continue;
-                }
-                map.insert(
-                    rec.fingerprint,
-                    CachedCell {
-                        variant: rec.variant.clone(),
-                        graph: rec.graph.to_string(),
-                        target: rec.target.clone(),
-                        geps_bits: m.geps.to_bits(),
-                        iterations: m.iterations,
-                    },
-                );
-                fresh.push(rec);
-            }
-        }
+        let fresh: Vec<&CellRecord> = {
+            let mut cells = self.lock();
+            let fresh = records.iter().filter(|rec| cells.insert_record(rec));
+            fresh.copied().collect()
+        };
         match &self.journal {
             Some(j) => match j.record_all(&fresh) {
                 Ok(()) => 0,
@@ -174,17 +206,13 @@ impl ResultCache {
     /// The style advisor fits from this (DESIGN.md §7.11); serving caches
     /// stay small enough that a full copy is the simple, safe choice.
     pub fn cells(&self) -> Vec<CachedCell> {
-        self.map
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .values()
-            .cloned()
-            .collect()
+        let cells = self.lock();
+        cells.map.values().map(|e| cells.cell(e)).collect()
     }
 
     /// Cached cell count.
     pub fn len(&self) -> usize {
-        self.map.lock().unwrap_or_else(|e| e.into_inner()).len()
+        self.lock().map.len()
     }
 
     /// True when nothing is cached.

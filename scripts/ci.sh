@@ -47,6 +47,11 @@ cargo clippy --workspace --all-targets -- -D warnings
 stage "cargo test -q --workspace"
 cargo test -q --workspace
 
+stage "shared-vs-solo matrix (734 CUDA variants x 5 Tiny graphs, release)"
+# one gpusim execution priced for both GPUs must report, per device, the
+# bits of that device's solo run on every variant, graph and worker count
+cargo test -q --release --test shared_execution -- --ignored
+
 stage "fault-injection smoke (crash, resume, clean exits)"
 cargo build -q --release -p indigo2 --bin indigo-exp
 exp=target/release/indigo-exp

@@ -19,6 +19,15 @@
 //! `Sim`'s own clock is checked in every build; the obs-counter fields
 //! only exist when `--features telemetry` is on (CI runs both ways).
 //!
+//! **Shared execution.** Every [`SIM_COUNTS`] row runs twice: on a
+//! one-device `Sim` for the RTX 3090, and on a `Sim` that executes once
+//! and prices the TITAN V and the RTX 3090 together. The shared run's RTX
+//! half must read the same row, and its steady state must allocate no
+//! more than the solo run's. Telemetry counts the *mechanism* — launches,
+//! accesses, transactions, atomic ops and conflicts — once per execution,
+//! however many devices it prices; `Counter::SimCycles` counts once per
+//! priced device (the sum of every priced device's per-launch cycles).
+//!
 //! Everything runs inside ONE `#[test]` function: the allocation counter
 //! and the obs counters are process-global, and Rust's test harness runs
 //! separate tests on separate threads, which would make the deltas racy.
@@ -31,7 +40,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use indigo_core::{GraphInput, SOURCE};
-use indigo_gpusim::{rtx3090, Assign, BufKind, GpuBuf, ReduceStyle, Sim, WARP_SIZE};
+use indigo_gpusim::{rtx3090, titan_v, Assign, BufKind, GpuBuf, ReduceStyle, Sim, WARP_SIZE};
 use indigo_graph::gen::{self, suite_graph, Scale, SuiteGraph};
 use indigo_obs::{counters_snapshot, Counter};
 
@@ -139,11 +148,15 @@ const CPU_COUNTS: [(SuiteGraph, [CpuRow; 6]); 3] = [
     ),
 ];
 
-/// One simulator workload: two warm-up launches, then [`WINDOW`] launches
-/// that must match `want` exactly and allocate at most `alloc_budget`
-/// times.
+/// One simulator workload on `sim`, whose last device is the RTX 3090: two
+/// warm-up launches, then [`WINDOW`] launches that must match `want` on
+/// that device exactly and allocate at most `alloc_budget` times.
 fn sim_window(want: &SimRow, alloc_budget: u64, mut sim: Sim, launch: impl Fn(&mut Sim)) {
-    let (name, _) = *want;
+    let devices = sim.devices().len();
+    let name = match devices {
+        1 => want.0.to_string(),
+        _ => format!("{} (shared)", want.0),
+    };
     // warm-up: tables grow, pools spawn, arenas size up; the second round
     // flushes one-time lazy initialization in std (thread parking, panic
     // machinery) that is not part of the launch path proper
@@ -154,18 +167,22 @@ fn sim_window(want: &SimRow, alloc_budget: u64, mut sim: Sim, launch: impl Fn(&m
         // fields this build cannot observe stay as expected
         let mut seen = want.1;
         (seen[0], seen[1]) = (0, 0);
+        // every priced device's cycles, as `Counter::SimCycles` sums them
+        let mut all_cycles = 0u64;
         for _ in 0..WINDOW {
             sim.reset_clock();
             launch(&mut sim);
-            seen[0] += sim.elapsed_cycles() as u64;
+            let clock = |i| sim.cycles_on(i).expect("every device stays priced") as u64;
+            seen[0] += clock(devices - 1);
+            all_cycles += (0..devices).map(clock).sum::<u64>();
             seen[1] += sim.accesses();
         }
         if indigo_obs::enabled() {
             let d = counters_snapshot().delta_since(&before);
             assert_eq!(
                 [d.get(Counter::SimCycles), d.get(Counter::SimGlobalAccesses)],
-                seen[..2],
-                "`{name}`: obs counters disagree with the Sim's own clock"
+                [all_cycles, seen[1]],
+                "`{name}`: obs counters disagree with the Sim's own clocks"
             );
             seen[2] = d.get(Counter::SimCoalescedTxns);
             seen[3] = d.get(Counter::SimUncoalescedTxns);
@@ -173,9 +190,9 @@ fn sim_window(want: &SimRow, alloc_budget: u64, mut sim: Sim, launch: impl Fn(&m
             seen[5] = d.get(Counter::SimAtomicConflicts);
         }
         assert_eq!(
-            (name, seen),
+            (want.0, seen),
             *want,
-            "simulator counts changed; if deliberate, left is the new SIM_COUNTS row"
+            "`{name}`: simulator counts changed; if deliberate, left is the new SIM_COUNTS row"
         );
     });
     assert!(
@@ -234,9 +251,21 @@ fn baseline_kernels(input: &GraphInput, threads: usize) -> [(&'static str, Kerne
     ]
 }
 
+/// The two `Sim`s each row runs on: the RTX 3090 alone, and the TITAN V
+/// and the RTX 3090 priced from one execution.
+fn sims(workers: usize) -> [Sim; 2] {
+    [
+        Sim::new(rtx3090()),
+        Sim::for_devices(&[titan_v(), rtx3090()]),
+    ]
+    .map(|mut sim| {
+        sim.set_workers(workers);
+        sim
+    })
+}
+
 #[test]
 fn steady_state_launches_do_not_allocate() {
-    let device = rtx3090();
     let [thread_stream, warp_reduce, thread_stream_pooled, scatter_atomics, deep_rounds] =
         &SIM_COUNTS;
 
@@ -245,31 +274,35 @@ fn steady_state_launches_do_not_allocate() {
         const N: usize = 1 << 14;
         let src = GpuBuf::new(N, 7);
         let dst = GpuBuf::new(N, 0);
-        sim_window(thread_stream, 0, Sim::new(device), |sim| {
-            sim.launch(N, Assign::ThreadPerItem, false, |ctx, i| {
-                let v = ctx.ld(&src, i);
-                ctx.st(&dst, i, v + 1);
+        for sim in sims(1) {
+            sim_window(thread_stream, 0, sim, |sim| {
+                sim.launch(N, Assign::ThreadPerItem, false, |ctx, i| {
+                    let v = ctx.ld(&src, i);
+                    ctx.st(&dst, i, v + 1);
+                });
             });
-        });
+        }
     }
 
     // --- generic block path (WarpPerItem + shuffle reduction) ---
     {
         const ITEMS: usize = 1 << 10;
         let src = GpuBuf::new(ITEMS * WARP_SIZE, 1);
-        sim_window(warp_reduce, 0, Sim::new(device), |sim| {
-            sim.launch_reduce_u64(
-                ITEMS,
-                Assign::WarpPerItem,
-                false,
-                ReduceStyle::ReductionAdd,
-                BufKind::Atomic,
-                |ctx, item| {
-                    let v = ctx.ld(&src, item * WARP_SIZE + ctx.lane());
-                    ctx.reduce_add_u64(u64::from(v));
-                },
-            );
-        });
+        for sim in sims(1) {
+            sim_window(warp_reduce, 0, sim, |sim| {
+                sim.launch_reduce_u64(
+                    ITEMS,
+                    Assign::WarpPerItem,
+                    false,
+                    ReduceStyle::ReductionAdd,
+                    BufKind::Atomic,
+                    |ctx, item| {
+                        let v = ctx.ld(&src, item * WARP_SIZE + ctx.lane());
+                        ctx.reduce_add_u64(u64::from(v));
+                    },
+                );
+            });
+        }
     }
 
     // --- pooled deterministic path (parked workers + slot arena) ---
@@ -281,27 +314,29 @@ fn steady_state_launches_do_not_allocate() {
         const N: usize = 1 << 14;
         let src = GpuBuf::new(N, 3);
         let dst = GpuBuf::new(N, 0);
-        let mut sim = Sim::new(device);
-        sim.set_workers(2);
-        sim_window(thread_stream_pooled, 4, sim, |sim| {
-            sim.launch_det(N, Assign::ThreadPerItem, false, |ctx, i| {
-                let v = ctx.ld(&src, i);
-                ctx.st(&dst, i, v * 2);
+        for sim in sims(2) {
+            sim_window(thread_stream_pooled, 4, sim, |sim| {
+                sim.launch_det(N, Assign::ThreadPerItem, false, |ctx, i| {
+                    let v = ctx.ld(&src, i);
+                    ctx.st(&dst, i, v * 2);
+                });
             });
-        });
+        }
     }
 
     // --- scattered classic atomics: the dedup fallback in finalize ---
     {
         const N: usize = 1 << 12;
         let hist = GpuBuf::new(257, 0).with_kind(BufKind::Atomic);
-        sim_window(scatter_atomics, 0, Sim::new(device), |sim| {
-            sim.launch(N, Assign::ThreadPerItem, false, |ctx, i| {
-                // multiplicative hash scatters lanes across the histogram
-                let slot = (i.wrapping_mul(2654435761)) % 257;
-                ctx.atomic_add(&hist, slot, 1);
+        for sim in sims(1) {
+            sim_window(scatter_atomics, 0, sim, |sim| {
+                sim.launch(N, Assign::ThreadPerItem, false, |ctx, i| {
+                    // multiplicative hash scatters lanes across the histogram
+                    let slot = (i.wrapping_mul(2654435761)) % 257;
+                    ctx.atomic_add(&hist, slot, 1);
+                });
             });
-        });
+        }
     }
 
     // --- divergent warp rounds deeper than the step table's inline tier ---
@@ -314,22 +349,24 @@ fn steady_state_launches_do_not_allocate() {
         const LEN: usize = 1 << 12;
         let src = GpuBuf::new(LEN, 5);
         let hist = GpuBuf::new(64, 0);
-        sim_window(deep_rounds, 0, Sim::new(device), |sim| {
-            sim.launch(N, Assign::ThreadPerItem, false, |ctx, i| {
-                let trip = match i % 32 {
-                    0 => 256,
-                    1 => 255,
-                    2 => 257,
-                    3 => 0,
-                    _ => (i * 19) % 601,
-                };
-                let mut acc = 0u32;
-                for k in 0..trip {
-                    acc = acc.wrapping_add(ctx.ld(&src, (i * 33 + k * 131) % LEN));
-                }
-                ctx.atomic_add(&hist, (i + acc as usize) % 64, 1);
+        for sim in sims(1) {
+            sim_window(deep_rounds, 0, sim, |sim| {
+                sim.launch(N, Assign::ThreadPerItem, false, |ctx, i| {
+                    let trip = match i % 32 {
+                        0 => 256,
+                        1 => 255,
+                        2 => 257,
+                        3 => 0,
+                        _ => (i * 19) % 601,
+                    };
+                    let mut acc = 0u32;
+                    for k in 0..trip {
+                        acc = acc.wrapping_add(ctx.ld(&src, (i * 33 + k * 131) % LEN));
+                    }
+                    ctx.atomic_add(&hist, (i + acc as usize) % 64, 1);
+                });
             });
-        });
+        }
     }
 
     // --- the six tuned CPU baselines are steady-state alloc-free too ---
